@@ -2,13 +2,12 @@
 
 Runs the full-repository ``repro lint --deep`` in a fresh interpreter
 (cold: includes interpreter start, imports, parsing all ~100 modules,
-call-graph construction and all four engine groups — the per-file AST
-rules plus the flow, concurrency and perf deep suites) and asserts it
-lands under a wall-clock budget with a wide margin over the measured
-~10s.  A second case adds ``--profile`` (the cProfile cross-check runs
-a real simulation cell on top).  If these fail, the pre-commit hook
-and the CI deep-lint job have become a tax on every contributor — fix
-the regression, don't raise the budget first.
+call-graph construction and all three engine groups — the per-file AST
+rules plus the flow and concurrency deep suites) and asserts it lands
+under a wall-clock budget with a wide margin over the measured ~11s on
+a 2-vCPU VM.  If this fails, the pre-commit hook and the CI deep-lint
+job have become a tax on every contributor — fix the regression, don't
+raise the budget first.
 """
 
 import json
@@ -24,29 +23,21 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: Seconds a cold full-repo deep lint may take.
 COLD_BUDGET_SECONDS = 30.0
 
-#: Seconds with the profile cross-check on top (one profiled small
-#: fig4 cell plus a second model build inside the CLI).
-PROFILE_BUDGET_SECONDS = 45.0
 
-
-def _run_lint(*extra: str) -> tuple:
-    env_paths = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
+def test_cold_deep_lint_under_budget():
     start = time.perf_counter()
     proc = subprocess.run(
         [
             sys.executable, "-m", "repro.cli", "lint", "--deep",
-            *extra, "--format", "json", *env_paths,
+            "--format", "json",
+            str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"),
         ],
         cwd=REPO_ROOT,
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": ""},
         capture_output=True,
         text=True,
     )
-    return time.perf_counter() - start, proc
-
-
-def test_cold_deep_lint_under_budget():
-    elapsed, proc = _run_lint()
+    elapsed = time.perf_counter() - start
 
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout)
@@ -60,24 +51,4 @@ def test_cold_deep_lint_under_budget():
         "bench_lint.txt",
         f"cold full-repo `repro lint --deep`: {elapsed:.2f}s "
         f"(budget {COLD_BUDGET_SECONDS:.0f}s, clean)",
-    )
-
-
-def test_cold_deep_lint_with_profile_under_budget():
-    elapsed, proc = _run_lint("--profile")
-
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["clean"] is True
-    assert "static hot-set coverage" in proc.stderr
-
-    assert elapsed < PROFILE_BUDGET_SECONDS, (
-        f"cold deep lint with --profile took {elapsed:.1f}s "
-        f"(budget {PROFILE_BUDGET_SECONDS:.0f}s)"
-    )
-    save_artifact(
-        "bench_lint_profile.txt",
-        f"cold full-repo `repro lint --deep --profile`: {elapsed:.2f}s "
-        f"(budget {PROFILE_BUDGET_SECONDS:.0f}s, clean, coverage "
-        "report on stderr)",
     )

@@ -774,9 +774,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             for rule in rules:
                 print(f"  {rule.name:<28} {rule.summary}")
         return 0
-    if args.profile and not args.deep:
-        print("lint: --profile requires --deep", file=sys.stderr)
-        return 2
     paths = args.paths or [
         p for p in ("src", "tests") if pathlib.Path(p).exists()
     ]
@@ -818,25 +815,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         )
         findings = sorted(set(findings) | set(deep_findings))
 
-    profile_failed = False
-    if args.profile:
-        from repro.lint.flow.perf.profile import (
-            profile_hot_coverage,
-            render_coverage,
-        )
-
-        coverage = profile_hot_coverage()
-        report = render_coverage(coverage)
-        print(report, file=sys.stderr)
-        if args.profile_out:
-            pathlib.Path(args.profile_out).write_text(report + "\n")
-        profile_failed = not coverage.passed
-        if profile_failed:
-            print(
-                "lint: static hot-set coverage below floor",
-                file=sys.stderr,
-            )
-
     if args.write_baseline:
         from repro.lint.baseline import write_baseline
 
@@ -845,7 +823,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             f"lint: wrote baseline with {count} finding(s) "
             f"to {args.write_baseline}"
         )
-        return 1 if profile_failed else 0
+        return 0
 
     known = []
     if args.baseline:
@@ -876,7 +854,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 f"baseline: {len(known)} known finding(s) accepted, "
                 f"{len(gate)} new"
             )
-    return 1 if gate or profile_failed else 0
+    return 1 if gate else 0
 
 
 def cmd_configs(args: argparse.Namespace) -> int:
@@ -1291,20 +1269,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the interprocedural (whole-package) analyses: "
         "call-graph effect inference, seed provenance, unit "
-        "consistency, worker safety, the concurrency suite and the "
-        "hot-path performance rules",
-    )
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help="with --deep: profile a small seeded fig4 cell and report "
-        "static hot-set coverage of the top frames (fails below "
-        "the floor)",
-    )
-    p.add_argument(
-        "--profile-out",
-        metavar="FILE",
-        help="with --profile: also write the coverage report to FILE",
+        "consistency, worker safety and the concurrency suite",
     )
     p.add_argument(
         "--baseline",

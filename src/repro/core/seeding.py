@@ -28,9 +28,7 @@ def stable_seed(*parts: Any) -> int:
     Parts must be JSON-serializable; the JSON encoding (sorted keys)
     makes the digest independent of dict insertion order.
     """
-    # repro-perf: allow=deep-alloc-in-hot-loop -- one digest per seed derivation (per phase), not per event
     material = json.dumps(list(parts), sort_keys=True)
-    # repro-perf: allow=deep-hot-dispatch -- builtin int classmethod; nothing to resolve
     return int.from_bytes(
         hashlib.sha256(material.encode()).digest()[:8], "big"
     )

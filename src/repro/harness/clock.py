@@ -47,7 +47,6 @@ def now() -> float:
 
 def perf() -> float:
     """Monotonic high-resolution seconds from the active clock."""
-    # repro-perf: allow=deep-hot-dispatch -- swappable-clock indirection is this module's purpose
     return _active.perf()
 
 

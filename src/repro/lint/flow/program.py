@@ -316,8 +316,8 @@ class Program:
         the whole program available we can do better: resolve the callee
         to a :class:`FunctionInfo` and follow its **return annotation**
         to a class qname.  This is what types ``self._compiled =
-        routing.compile(table)`` as ``CompiledRouting`` so the perf
-        engine sees through ``self._compiled.sample(...)`` dispatch.
+        routing.compile(table)`` as ``CompiledRouting``, so calls through
+        ``self._compiled.sample(...)`` resolve.
         """
         for cls in self.classes.values():
             init_qname = cls.methods.get("__init__")

@@ -17,13 +17,12 @@ from repro.lint.flow.callgraph import CallGraph
 #: Engine groups in display order, with their ``--list-rules`` section
 #: titles.  The CLI renders *all* engines through this one table (plus
 #: any engine tag it has never heard of, appended alphabetically), so
-#: adding a fifth engine means adding a row here — not another
-#: copy-pasted rendering branch.
+#: adding an engine means adding a row here — not another copy-pasted
+#: rendering branch.
 ENGINE_SECTIONS: Tuple[Tuple[str, str], ...] = (
     ("ast", "per-file AST rules"),
     ("flow", "call-graph rules [deep]"),
     ("concurrency", "lockset/order/blocking rules [deep]"),
-    ("perf", "hot-path performance rules [deep]"),
 )
 
 
@@ -35,8 +34,8 @@ class FlowRule:
     invariant: str = ""
     #: Which analysis engine the rule runs on: "flow" for the
     #: call-graph analyses, "concurrency" for the lockset/order/
-    #: blocking suite, "perf" for the hot-path performance suite
-    #: (``--list-rules`` groups by this, via ``ENGINE_SECTIONS``).
+    #: blocking suite (``--list-rules`` groups by this, via
+    #: ``ENGINE_SECTIONS``).
     engine: str = "flow"
 
     def check(self, graph: CallGraph) -> Iterable[Finding]:
@@ -70,11 +69,6 @@ def all_flow_rules() -> List[FlowRule]:
         blocking,
         order,
         races,
-    )
-    from repro.lint.flow.perf import (  # noqa: F401
-        alloc,
-        dispatch,
-        scans,
     )
 
     return [FLOW_REGISTRY[name] for name in sorted(FLOW_REGISTRY)]

@@ -81,7 +81,7 @@ class ShortestUnionRouting(RoutingScheme):
                 lambda node: self.vrf.next_hops(node, dst), start, goal, rng
             )
             physical = VrfGraph.project(vrf_path)
-            # repro-perf: allow=deep-alloc-in-hot-loop -- loop-freedom check needs the dedup set; paths are a few hops
+            # Loop-freedom check; paths are a few hops.
             if len(set(physical)) == len(physical):
                 return physical
         return rng.choice(self.paths(src, dst))

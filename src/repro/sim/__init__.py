@@ -3,7 +3,6 @@
 from repro.sim.maxmin import (
     AllocationError,
     Incidence,
-    LinkIndex,
     fill_levels,
     flow_rates,
     progressive_filling,
@@ -39,7 +38,6 @@ from repro.sim.packet import PacketSimulator, simulate_fct_packet
 __all__ = [
     "AllocationError",
     "Incidence",
-    "LinkIndex",
     "fill_levels",
     "flow_rates",
     "progressive_filling",

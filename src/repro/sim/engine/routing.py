@@ -266,7 +266,7 @@ class _CompiledShortestUnion(CompiledRouting):
         goal = vrf.host_node(dst)
         for _attempt in range(_MAX_LOOP_RESAMPLES):
             physical, links = self._walk(start, goal, dst, rng)
-            # repro-perf: allow=deep-alloc-in-hot-loop -- loop-freedom check needs the dedup set; paths are a few hops
+            # Loop-freedom check; paths are a few hops.
             if len(set(physical)) == len(physical):
                 return physical, links
         return self._pathset(src, dst).sample(rng)

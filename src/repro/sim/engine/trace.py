@@ -68,7 +68,6 @@ class SimTrace:
 
     __slots__ = ("counters", "timers", "snapshots")
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- one trace object per run; instrumentation is outside the event loop
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
         self.timers: Dict[str, float] = {}
@@ -96,7 +95,6 @@ class SimTrace:
         finally:
             self.add_time(name, perf_now() - started)
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- end-of-run reporting, once per simulation
     def snapshot_utilization(
         self,
         label: str,
@@ -140,7 +138,6 @@ class SimTrace:
         return payload
 
 
-# repro-perf: allow=deep-alloc-in-hot-loop -- renders a handful of snapshot labels at end of run
 def _link_label(key: LinkKey) -> str:
     """Render a link key as a compact string: ``net:4->7``, ``up:12``."""
     kind = str(key[0])

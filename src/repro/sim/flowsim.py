@@ -76,7 +76,6 @@ class _ActiveFlow:
 class FlowSimulator:
     """Simulates a flow workload on one (topology, routing) combination."""
 
-    # repro-perf: allow=deep-alloc-in-hot-loop,deep-recompile-in-loop -- constructed once per driver and rewound with reset(); setup never runs inside the event loop
     def __init__(
         self,
         network: Network,
@@ -155,7 +154,6 @@ class FlowSimulator:
 
     # ------------------------------------------------------------------
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- amortized geometric growth
     def _grow_slots(self, total: int) -> None:
         capacity = len(self._slot_alive)
         if total <= capacity:
@@ -174,7 +172,6 @@ class FlowSimulator:
         self._spent = spent
         self._alive_ids = alive_ids
 
-    # repro-perf: allow=deep-recompile-in-loop,deep-alloc-in-hot-loop -- runs once per phase, not per event; the fresh Incidence is the rewind, while the expensive compile-time state (routing, link table) is kept
     def reset(self, seed: int = 0) -> None:
         """Rearm for a fresh run without rebuilding topology state.
 
@@ -201,7 +198,6 @@ class FlowSimulator:
             self._warm.reset()
         self.trace = sim_trace.SimTrace()
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- each admission builds the flow's own link-id array; it lives as long as the flow
     def _admit(self, flow: Flow) -> np.ndarray:
         """Resolve endpoints, hash a path, and register the flow's slot.
 
@@ -248,7 +244,6 @@ class FlowSimulator:
 
     # ------------------------------------------------------------------
 
-    # repro-hot -- the fluid event loop: every admission/completion runs here
     def run(self, flows: Sequence[Flow]) -> FctResults:
         """Simulate the workload to completion and return all FCTs."""
         # Resolved here, not at module level: repro.harness's package
@@ -269,7 +264,7 @@ class FlowSimulator:
         while self._num_active or next_arrival < len(arrivals):
             # Admit every flow starting exactly now (zero-width batch);
             # the cohort lands on ``_link_refs`` as one scatter-add.
-            cohort_links: List[np.ndarray] = []  # repro-perf: allow=deep-alloc-in-hot-loop -- one small list per event gathers the admission cohort for a single scatter-add
+            cohort_links: List[np.ndarray] = []
             while (
                 next_arrival < len(arrivals)
                 and arrivals[next_arrival].start_time <= now + 1e-15
@@ -281,7 +276,7 @@ class FlowSimulator:
                 delta = (
                     cohort_links[0]
                     if len(cohort_links) == 1
-                    else np.concatenate(cohort_links)  # repro-perf: allow=deep-alloc-in-hot-loop -- cohort concat replaces one scatter-add per flow with one per event
+                    else np.concatenate(cohort_links)
                 )
                 np.add.at(self._link_refs, delta, 1)
                 run_trace.count("admit_cohorts")
@@ -343,7 +338,8 @@ class FlowSimulator:
             if finish_dt - dt <= finish_dt * _COMPLETION_RTOL:
                 done_mask = self._remaining[alive] <= _RESIDUAL_BYTES
                 done = alive[done_mask]
-                # repro-perf: allow=deep-numpy-scalar-loop -- completions build one FlowRecord each; object construction cannot vectorize
+                # One FlowRecord per completion: object construction
+                # cannot vectorize.
                 for slot in done:
                     entry = self._meta[slot]
                     latency = self.hop_latency_s * len(entry.links)
@@ -364,8 +360,8 @@ class FlowSimulator:
                     retired = (
                         self._meta[int(done[0])].links
                         if done.size == 1
-                        else np.concatenate(  # repro-perf: allow=deep-alloc-in-hot-loop -- cohort concat replaces one scatter-subtract per flow with one per event
-                            [self._meta[int(s)].links for s in done]  # repro-perf: allow=deep-alloc-in-hot-loop -- list of the completion cohort's link arrays, one per retiring flow
+                        else np.concatenate(
+                            [self._meta[int(s)].links for s in done]
                         )
                     )
                     np.subtract.at(self._link_refs, retired, 1)

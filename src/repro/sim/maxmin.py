@@ -27,7 +27,7 @@ Two entry points share one numpy core (:func:`fill_levels`):
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class FillRecorder(Protocol):
         ...
 
 
-# repro-perf: allow=deep-alloc-in-hot-loop -- amortized geometric growth
 def _fit(current: np.ndarray, n: int) -> np.ndarray:
     """``current`` if it holds ``n`` elements, else a doubled buffer."""
     if len(current) >= n:
@@ -114,7 +113,6 @@ class FillScratch:
         self._remap = _fit(self._remap, n)
         return self._remap[:n]
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- amortized geometric growth
     def iota(self, n: int) -> np.ndarray:
         """``[0, 1, ..., n-1]`` without a per-call ``np.arange``."""
         if len(self._iota) < n:
@@ -149,7 +147,7 @@ class FillScratch:
         return self._unused[:n]
 
 
-# repro-hot: per-event -- re-solved after every admission and completion
+# Re-solved after every admission and completion.
 def fill_levels(
     ent: np.ndarray,
     lnk: np.ndarray,
@@ -207,7 +205,6 @@ def fill_levels(
     the identical order the full-mask formulation used.
     """
     if scratch is None:
-        # repro-perf: allow=deep-recompile-in-loop -- one-shot callers
         scratch = FillScratch()
     level = np.zeros(len(active))
     mask: np.ndarray = scratch.active(len(active))
@@ -223,7 +220,6 @@ def fill_levels(
     # Compress to the referenced links; ids stay ascending, so argmin
     # tie-breaks agree with the full link space.
     if links is None:
-        # repro-perf: allow=deep-alloc-in-hot-loop -- legacy-only sort
         links, w_lnk = np.unique(w_lnk, return_inverse=True)
     else:
         # Scatter-then-gather beats searchsorted: O(1) per entry with no
@@ -262,7 +258,7 @@ def fill_levels(
         increment = float(headroom.min())
         if not math.isfinite(increment) or increment < 0:
             raise AllocationError("allocation cannot make progress")
-        rem_pre = remaining.copy() if recorder is not None else None  # repro-perf: allow=deep-alloc-in-hot-loop -- snapshot taken only when a recorder is caching rounds for warm starts
+        rem_pre = remaining.copy() if recorder is not None else None
         current += increment
         remaining -= increment * demand
         # Freeze entities crossing any saturated link they use.  A link
@@ -408,7 +404,6 @@ class Incidence:
         """Consumption value per entry (view; do not mutate)."""
         return self._val[: self._size]
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- amortized geometric growth
     def _reserve(self, extra: int) -> None:
         needed = self._size + extra
         capacity = len(self._ent)
@@ -449,52 +444,3 @@ class Incidence:
         self._val[:kept] = self._val[: self._size][mask]
         self._size = kept
 
-
-class LinkIndex:
-    """Assigns dense integer ids to hashable link keys.
-
-    Both simulators address links by arbitrary keys (directed switch
-    pairs, per-server access links); this maps them to the dense indices
-    the allocator wants.
-    """
-
-    def __init__(self) -> None:
-        self._ids: Dict[object, int] = {}
-        self._keys: List[object] = []
-        self._capacities: List[float] = []
-
-    def add(self, key: object, capacity: float) -> int:
-        """Register a link (idempotent); capacity must match on re-add."""
-        if key in self._ids:
-            existing = self._capacities[self._ids[key]]
-            if existing != capacity:
-                raise AllocationError(
-                    f"link {key!r} re-registered with different capacity"
-                )
-            return self._ids[key]
-        if capacity <= 0:
-            raise AllocationError(f"link {key!r} has non-positive capacity")
-        index = len(self._capacities)
-        self._ids[key] = index
-        self._keys.append(key)
-        self._capacities.append(capacity)
-        return index
-
-    def id_of(self, key: object) -> int:
-        return self._ids[key]
-
-    def key_of(self, index: int) -> object:
-        return self._keys[index]
-
-    def capacity_of(self, index: int) -> float:
-        return self._capacities[index]
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._ids
-
-    def __len__(self) -> int:
-        return len(self._capacities)
-
-    @property
-    def capacities(self) -> List[float]:
-        return list(self._capacities)

@@ -44,7 +44,6 @@ class EventQueue:
         """Run ``action`` at absolute time ``when`` (>= now)."""
         self.schedule(when - self._now, action)
 
-    # repro-hot -- drains the event heap; every packet event dispatches here
     def run(self, max_events: int = 50_000_000) -> int:
         """Drain the queue; returns the number of events processed.
 
@@ -59,7 +58,7 @@ class EventQueue:
         processed = 0
         heap = self._heap
         self.cohort_counts.clear()
-        cohort: List[Callable[[], None]] = []  # repro-perf: allow=deep-alloc-in-hot-loop -- one list reused across the whole drain via clear()
+        cohort: List[Callable[[], None]] = []
         while heap:
             when, _seq, action = heapq.heappop(heap)
             self._now = when
@@ -69,7 +68,6 @@ class EventQueue:
             bucket = cohort_bucket("event", len(cohort))
             self.cohort_counts[bucket] = self.cohort_counts.get(bucket, 0) + 1
             for member in cohort:
-                # repro-perf: allow=deep-hot-dispatch -- the queue exists to dispatch opaque scheduled callbacks
                 member()
                 processed += 1
                 if processed >= max_events:

@@ -238,7 +238,7 @@ class PacketSimulator:
         # packet simply vanishes and TCP recovers.
         packet.next_link().enqueue(packet)
 
-    # repro-hot: per-event -- per-packet hop completion (heap callback)
+    # Heap callback, once per packet hop.
     def _on_hop_done(self, packet: Packet) -> None:
         packet.hop += 1
         if not packet.at_destination():

@@ -134,7 +134,6 @@ class PhaseCohortDriver:
                 finish[index] = record.finish_time
         return finish
 
-    # repro-hot -- the phase-cohort iteration loop (one sim per phase)
     def run(self) -> CollectiveResults:
         """Run every job to its final iteration; return all timelines."""
         driver_trace = sim_trace.SimTrace()
@@ -218,7 +217,7 @@ class PhaseCohortDriver:
             return None
         observe = getattr(self.routing, "observe", None)
         if observe is not None:
-            # repro-perf: allow=deep-hot-dispatch -- optional control-loop probe, one call per phase
+            # Optional control-loop probe, one call per phase.
             observe(rack_demands_of_flows(cohort, self.network))
         if self._simulator is None:
             self._simulator = FlowSimulator(

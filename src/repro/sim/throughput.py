@@ -40,7 +40,7 @@ class ThroughputReport:
     num_flows: float
 
 
-# repro-hot -- per-commodity LP assembly loop (figure 2/3 inner kernel)
+# Inner kernel of figures 2 and 3: per-commodity LP assembly.
 def commodity_throughput(
     network: Network,
     routing: RoutingScheme,
@@ -69,8 +69,9 @@ def commodity_throughput(
         dst_host_capacity = _full_host_capacity(network)
 
     # Dense ids from the network's link table (net links 0..L-1), plus
-    # lazily registered host links in first-touch order — the same id
-    # assignment the legacy per-call LinkIndex produced.
+    # lazily registered host links in first-touch order, so the id
+    # assignment matches the legacy reference solver in
+    # tests/sim/legacy_reference.py.
     table = network.link_table()
     bad = np.flatnonzero(table.capacities <= 0)
     if bad.size:
@@ -114,9 +115,7 @@ def commodity_throughput(
         val.append(weight)
         lnk.append(down)
         val.append(weight)
-        # repro-perf: allow=deep-hot-dispatch -- bulk ndarray-to-list conversion feeding the COO assembly
         lnk.extend(net_links.tolist())
-        # repro-perf: allow=deep-hot-dispatch -- bulk ndarray-to-list conversion feeding the COO assembly
         val.extend((weight * net_fractions).tolist())
         weights.append(weight)
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -85,16 +85,15 @@ _VECTOR_FACTOR = 4.0
 
 _INF = math.inf
 
-#: Shadow-validation default, read once at import.  Validation only adds
-#: a cold shadow solve plus a bitwise compare — it cannot change any
-#: result, so it is cache-key neutral by construction.
+#: Shadow validation, read once at import.  Validation only adds a cold
+#: shadow solve plus a bitwise compare — it cannot change any result, so
+#: it is cache-key neutral by construction.
 _VALIDATE_DEFAULT = os.environ.get("REPRO_WARM_VALIDATE", "") not in ("", "0")  # repro-lint: disable=cache-key-purity
 
 
 class _B(Exception):
     """Internal: scalar replay diverged; carries the vector handoff."""
 
-    # repro-perf: allow=deep-hot-dispatch -- divergence signal raised at most once per solve; super().__init__ is CPython-resolved
     def __init__(self, j0: int, rem_pre: Dict[int, float]) -> None:
         super().__init__(j0)
         self.j0 = j0
@@ -104,7 +103,6 @@ class _B(Exception):
 class _Cold(Exception):
     """Internal: replay cannot proceed; fall back to the cold solver."""
 
-    # repro-perf: allow=deep-hot-dispatch -- cold-fallback signal raised at most once per solve; super().__init__ is CPython-resolved
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
@@ -113,7 +111,6 @@ class _Cold(Exception):
 class _Recorder:
     """Snapshots a cold solve's rounds into full-link-space caches."""
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- one recorder per cold fallback; eight empty lists cost nothing next to the O(network) solve they cache
     def __init__(self, owner: "WarmFill") -> None:
         self._owner = owner
         self.overflow = False
@@ -142,9 +139,9 @@ class _Recorder:
         if self.overflow:
             return
         owner = self._owner
-        if (len(self.inc) + 1) * owner.num_links > owner.cache_cells or len(
+        if (len(self.inc) + 1) * owner.num_links > _CACHE_CELLS or len(
             self.inc
-        ) >= owner.round_limit:
+        ) >= _ROUND_LIMIT:
             self.overflow = True
             return
         d_full = np.zeros(owner.num_links)
@@ -170,33 +167,15 @@ class WarmFill:
     The owner notifies it of every admission (:meth:`admit`) and
     retirement (:meth:`retire`) and calls :meth:`solve` wherever it
     previously called :func:`fill_levels`; results are bitwise
-    identical, usually much cheaper.
+    identical.  Whether a warm solve is also cheaper depends on the
+    workload: DESIGN.md §6.1 records the measured mode mix.
     """
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- one-time construction per simulator; buffers built here are reused by every solve
-    def __init__(
-        self,
-        caps: np.ndarray,
-        *,
-        dirty_limit: int = _DIRTY_LIMIT,
-        round_limit: int = _ROUND_LIMIT,
-        corr_limit: int = _CORR_LIMIT,
-        cache_cells: int = _CACHE_CELLS,
-        vector_factor: float = _VECTOR_FACTOR,
-        validate: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, caps: np.ndarray) -> None:
         self.caps = np.asarray(caps, dtype=float)
         self.num_links = len(self.caps)
         #: Same floats as the cold solver's per-link saturation cutoff.
         self._satv = self.caps * _EPSILON
-        self.dirty_limit = dirty_limit
-        self.round_limit = round_limit
-        self.corr_limit = corr_limit
-        self.cache_cells = cache_cells
-        self.vector_factor = vector_factor
-        if validate is None:
-            validate = _VALIDATE_DEFAULT
-        self._validate = validate
         self.counters: Dict[str, int] = {}
 
         # Entity bookkeeping (ids are simulator slots; never reused).
@@ -238,7 +217,6 @@ class WarmFill:
     # Owner notifications
     # ------------------------------------------------------------------
 
-    # repro-perf: allow=deep-alloc-in-hot-loop,deep-hot-dispatch -- per-admit bookkeeping is O(path length) small-int work; the arrays it avoids are O(network)
     def admit(self, entity: int, links: Sequence[int]) -> None:
         """Register a newly admitted entity and its link ids."""
         ll = [int(l) for l in links]
@@ -290,7 +268,6 @@ class WarmFill:
     # Solve
     # ------------------------------------------------------------------
 
-    # repro-hot: per-event -- warm replacement for the from-scratch solve
     def solve(
         self,
         ent: np.ndarray,
@@ -325,7 +302,7 @@ class WarmFill:
                 cold_work = (len(self._inc) + 1) * (
                     lnk.size + int(np.count_nonzero(link_refs))
                 )
-                if suffix * self.num_links > self.vector_factor * cold_work:
+                if suffix * self.num_links > _VECTOR_FACTOR * cold_work:
                     self._count("alloc_cold_vector_guard")
                     iterations = -1
                 else:
@@ -350,7 +327,7 @@ class WarmFill:
             self._count("alloc_link_space", self.num_links)
         self._count("alloc_rounds", iterations)
         self._finish_delta()
-        if self._validate:
+        if _VALIDATE_DEFAULT:
             self._shadow_check(ent, lnk, val, active, link_refs)
         return self._levels, iterations
 
@@ -369,7 +346,6 @@ class WarmFill:
         self._adds.clear()
         self._rems.clear()
 
-    # repro-perf: allow=deep-hot-dispatch -- validation-only path, off by default; runs a full shadow cold solve anyway
     def _shadow_check(
         self,
         ent: np.ndarray,
@@ -394,7 +370,6 @@ class WarmFill:
     # Cold fallback (records the cache for the next event)
     # ------------------------------------------------------------------
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- cold fallback already pays an O(network) solve; the recorder dict is noise beside it
     def _run_cold(
         self,
         ent: np.ndarray,
@@ -436,12 +411,11 @@ class WarmFill:
     # Mode A: scalar replay of every cached round
     # ------------------------------------------------------------------
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- scalar replay touches only dirty links (bounded by dirty_limit); small dict/set churn replaces O(network) vector rounds
     def _try_scalar(self, adds: List[int], rems: List[int]) -> int:
         caps = self.caps
         satv = self._satv
         dirty = self._dirty(adds, rems)
-        if len(dirty) > self.dirty_limit:
+        if len(dirty) > _DIRTY_LIMIT:
             raise _Cold("dirty_guard")
         dlist = sorted(dirty)
         rem_a: Dict[int, float] = {l: float(caps[l]) for l in dlist}
@@ -547,7 +521,6 @@ class WarmFill:
             self._levels[r] = 0.0
         return len(self._inc)
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- residual rounds iterate only the delta's own links; bounded by dirty_limit
     def _run_residual(
         self,
     ) -> List[Tuple[float, float, Dict[int, float], Dict[int, float], Dict[int, float], Set[int], List[int], bool]]:
@@ -564,7 +537,7 @@ class WarmFill:
         dlist = self._dlist
         cur = self._cur[-1] if self._cur else 0.0
         while unf_adds:
-            if len(self._inc) + len(out) >= self.round_limit:
+            if len(self._inc) + len(out) >= _ROUND_LIMIT:
                 raise _Cold("round_guard")
             dj: Dict[int, float] = {}
             hj: Dict[int, float] = {}
@@ -611,7 +584,6 @@ class WarmFill:
             out.append((inc, cur, dj, hj, rem_pre, dsat, newly, forced))
         return out
 
-    # repro-perf: allow=deep-hot-dispatch -- rmset is a plain set built in solve(); isdisjoint is CPython-resolved
     def _commit_prefix(self, upto: int) -> None:
         """Patch cached rounds ``[0, upto)`` with the replayed deltas."""
         dlist = self._dlist
@@ -642,7 +614,6 @@ class WarmFill:
                 frz.add(a)
                 self._frz_round[a] = j
 
-    # repro-perf: allow=deep-alloc-in-hot-loop -- cache commit clones one compressed round per residual round; bounded by round_limit
     def _commit_residual(
         self,
         residual: List[
@@ -651,7 +622,7 @@ class WarmFill:
     ) -> None:
         if not residual:
             return
-        if (len(self._inc) + len(residual)) * self.num_links > self.cache_cells:
+        if (len(self._inc) + len(residual)) * self.num_links > _CACHE_CELLS:
             self._invalidate()
             return
         base = self._rem[-1] - self._inc[-1] * self._d[-1]
@@ -680,7 +651,6 @@ class WarmFill:
     # Mode B: exact vector replay of the divergent suffix
     # ------------------------------------------------------------------
 
-    # repro-perf: allow=deep-alloc-in-hot-loop,deep-hot-dispatch -- vector re-solve allocates per diverged round only; cold would allocate the same arrays for every round
     def _run_vector(
         self, adds: List[int], rems: List[int], handoff: _B
     ) -> int:
@@ -711,9 +681,9 @@ class WarmFill:
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while unf:
-                if j0 + len(new_rounds) >= self.round_limit:
+                if j0 + len(new_rounds) >= _ROUND_LIMIT:
                     raise _Cold("round_guard")
-                if len(corr) > self.corr_limit:
+                if len(corr) > _CORR_LIMIT:
                     raise _Cold("corr_guard")
                 self._count("alloc_replay_rounds")
                 while jc < rounds and all(
@@ -800,6 +770,6 @@ class WarmFill:
                 self._frz_round[e] = j
         for r in rems:
             self._levels[r] = 0.0
-        if len(self._inc) * num_links > self.cache_cells:
+        if len(self._inc) * num_links > _CACHE_CELLS:
             self._invalidate()
         return len(self._inc)

@@ -239,7 +239,6 @@ def collective_flows(
         size = job.comm_size_bytes / (workers - 1)
         for _layer in range(job.num_layers):
             for src in servers:
-                # repro-perf: allow=deep-quadratic-scan -- all-to-all enumerates every ordered worker pair; the pair set is the output
                 for dst in servers:
                     if dst != src:
                         flows.append(Flow(src, dst, size, start_time))

@@ -33,12 +33,20 @@ class TestDeepGate:
     """The interprocedural gate: deep-clean at HEAD, bounded optimism."""
 
     def test_deep_lint_is_clean(self):
+        """The ratchet: lint-baseline.json is empty, so any deep
+        finding anywhere in src/tests fails CI outright."""
+        import json
+
         from repro.lint.flow import deep_lint_paths
 
         findings, _ = deep_lint_paths(
             [str(p) for p in _existing("src", "tests")]
         )
         assert findings == [], "\n" + render_text(findings)
+        baseline = json.loads(
+            (REPO_ROOT / "lint-baseline.json").read_text()
+        )
+        assert baseline["findings"] == []
 
     def test_call_graph_resolution_floor(self):
         """Deep rules treat unresolved call sites as effect-free; that
@@ -56,6 +64,14 @@ class TestDeepGate:
         assert code == 0
         assert "clean: no findings" in capsys.readouterr().out
 
+    def test_deep_rule_filter_through_the_cli(self, capsys):
+        code = main([
+            "lint", "--deep", "--rule", "deep-lock-order",
+            str(REPO_ROOT / "src"),
+        ])
+        assert code == 0
+        assert "clean: no findings" in capsys.readouterr().out
+
     def test_deep_rules_listed(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
@@ -64,6 +80,25 @@ class TestDeepGate:
             "deep-unit-consistency", "deep-worker-safety",
         ):
             assert name in out
+        sections = [
+            line for line in out.splitlines()
+            if line and not line.startswith(" ")
+        ]
+        assert sections == [
+            "ast — per-file AST rules",
+            "flow — call-graph rules [deep]",
+            "concurrency — lockset/order/blocking rules [deep]",
+        ]
+
+    def test_every_engine_tag_has_a_section_title(self):
+        from repro.lint.flow.registry import (
+            ENGINE_SECTIONS,
+            all_flow_rules,
+        )
+
+        titled = {engine for engine, _title in ENGINE_SECTIONS}
+        for rule in all_flow_rules():
+            assert rule.engine in titled, rule.name
 
 
 class TestConcurrencyGate:
@@ -138,158 +173,6 @@ class TestConcurrencyGate:
             assert decl.reason, f"unjustified guard at {decl.path}:{decl.line}"
         for decl in facts.model.requires.values():
             assert decl.reason, f"unjustified requires at {decl.path}:{decl.line}"
-
-
-class TestPerfGate:
-    """The perf suite at HEAD: the six engine hot roots pinned, every
-    allowance justified, the repo perf-clean, and the static hot set
-    validated against a real profile."""
-
-    #: The engine's hot roots are a design artifact: these seven frames
-    #: are the event/phase/assembly loops everything rides on.  A new
-    #: root is a reviewable design change — update this pin
-    #: deliberately, with the matching ``# repro-hot`` annotation.
-    #: ``WarmFill.solve`` joined in the round-2 engine PR: it fronts
-    #: ``fill_levels`` on every event and carries the replay fast path.
-    GOLDEN_ROOTS = (
-        "repro.sim.flowsim.FlowSimulator.run",
-        "repro.sim.maxmin.fill_levels",
-        "repro.sim.packet.core.EventQueue.run",
-        "repro.sim.packet.simulator.PacketSimulator._on_hop_done",
-        "repro.sim.phases.PhaseCohortDriver.run",
-        "repro.sim.throughput.commodity_throughput",
-        "repro.sim.warmfill.WarmFill.solve",
-    )
-
-    def _model(self):
-        from repro.lint.flow import build_call_graph
-        from repro.lint.flow.perf import perf_facts
-        from repro.lint.flow.program import Program
-
-        program = Program.from_paths([REPO_ROOT / "src"], "repro")
-        assert program is not None
-        return perf_facts(build_call_graph(program))
-
-    def test_hot_roots_are_exactly_the_golden_seven(self):
-        model = self._model()
-        assert tuple(
-            sorted(root.qname for root in model.roots)
-        ) == self.GOLDEN_ROOTS
-        for root in model.roots:
-            assert root.reason, f"unjustified root at {root.path}:{root.line}"
-
-    def test_no_rotted_hot_markers(self):
-        assert self._model().unclaimed_markers == []
-
-    def test_hot_set_reaches_the_engine_kernels(self):
-        """Spot-pin the propagation: the array kernels every event
-        touches must be in the hot set, at depth >= 1."""
-        model = self._model()
-        for qname in (
-            "repro.sim.flowsim.FlowSimulator._admit",
-            "repro.sim.maxmin.Incidence.compact",
-            "repro.sim.engine.routing._CompiledShortestUnion.sample",
-            "repro.sim.engine.routing._hop_draw",
-            "repro.sim.engine.trace.SimTrace.count",
-        ):
-            assert qname in model.entry, qname
-            assert model.entry[qname] >= 1, (qname, model.entry[qname])
-
-    def test_every_allowance_has_a_reason(self):
-        model = self._model()
-        assert model.allowances, "expected # repro-perf: allow= in src"
-        for allowance in model.allowances:
-            assert allowance.reason, (
-                f"unjustified allowance at "
-                f"{allowance.path}:{allowance.line}"
-            )
-
-    def test_perf_rules_clean_at_head_under_empty_baseline(self):
-        """The ratchet: lint-baseline.json is empty, so any perf
-        finding anywhere in src/tests fails CI outright."""
-        import json
-
-        from repro.lint.flow import deep_lint_paths
-        from repro.lint.flow.registry import FLOW_REGISTRY, all_flow_rules
-
-        all_flow_rules()
-        perf_rules = [
-            name for name, rule in FLOW_REGISTRY.items()
-            if rule.engine == "perf"
-        ]
-        assert len(perf_rules) == 5
-        findings, _ = deep_lint_paths(
-            [str(p) for p in _existing("src", "tests")],
-            rule_names=perf_rules,
-        )
-        assert findings == [], "\n" + render_text(findings)
-        baseline = json.loads(
-            (REPO_ROOT / "lint-baseline.json").read_text()
-        )
-        assert baseline["findings"] == []
-
-    def test_perf_rules_listed_under_their_engine(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for section in (
-            "ast — per-file AST rules",
-            "flow — call-graph rules [deep]",
-            "concurrency — lockset/order/blocking rules [deep]",
-            "perf — hot-path performance rules [deep]",
-        ):
-            assert section in out
-        before, _, perf_part = out.partition("perf —")
-        for name in (
-            "deep-alloc-in-hot-loop", "deep-quadratic-scan",
-            "deep-numpy-scalar-loop", "deep-recompile-in-loop",
-            "deep-hot-dispatch",
-        ):
-            assert name in perf_part
-            assert name not in before
-
-    def test_every_engine_tag_has_a_section_title(self):
-        from repro.lint.flow.registry import (
-            ENGINE_SECTIONS,
-            all_flow_rules,
-        )
-
-        titled = {engine for engine, _title in ENGINE_SECTIONS}
-        for rule in all_flow_rules():
-            assert rule.engine in titled, rule.name
-
-    def test_perf_rule_filter_through_the_cli(self, capsys):
-        code = main([
-            "lint", "--deep", "--rule", "deep-alloc-in-hot-loop",
-            str(REPO_ROOT / "src"),
-        ])
-        assert code == 0
-        assert "clean: no findings" in capsys.readouterr().out
-
-    def test_profile_flag_requires_deep(self, capsys):
-        assert main(["lint", "--profile", str(REPO_ROOT / "src")]) == 2
-        assert "--profile requires --deep" in capsys.readouterr().err
-
-    def test_profile_coverage_meets_the_floor(self, tmp_path):
-        """The dynamic cross-check: a real cProfile run of a small
-        fig4 cell, scored against the static hot set.  Every top-K
-        frame must be claimed (hot) or deliberately exempted (warm,
-        behind a memo guard) — a rotted root or resolution regression
-        drops this below the floor."""
-        from repro.lint.flow.perf import (
-            COVERAGE_FLOOR,
-            profile_hot_coverage,
-            render_coverage,
-        )
-
-        coverage = profile_hot_coverage(model=self._model())
-        assert coverage.total > 0
-        assert coverage.passed, "\n" + render_coverage(coverage)
-        assert coverage.coverage >= COVERAGE_FLOOR
-        report = render_coverage(coverage)
-        assert coverage.cell in report
-        out = tmp_path / "coverage.txt"
-        out.write_text(report)
-        assert "FlowSimulator.run" in out.read_text()
 
 
 class TestCliLint:

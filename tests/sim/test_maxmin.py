@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.sim.maxmin import (
     AllocationError,
-    LinkIndex,
     flow_rates,
     progressive_filling,
 )
@@ -153,29 +152,3 @@ class TestMaxMinProperties:
         rates = flow_rates(flows, capacities)
         assert np.all(rates > 0)
 
-
-class TestLinkIndex:
-    def test_assigns_dense_ids(self):
-        index = LinkIndex()
-        assert index.add("a", 1.0) == 0
-        assert index.add("b", 2.0) == 1
-        assert index.add("a", 1.0) == 0  # idempotent
-        assert len(index) == 2
-        assert index.capacities == [1.0, 2.0]
-
-    def test_rejects_capacity_conflict(self):
-        index = LinkIndex()
-        index.add("a", 1.0)
-        with pytest.raises(AllocationError):
-            index.add("a", 2.0)
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(AllocationError):
-            LinkIndex().add("a", 0.0)
-
-    def test_contains_and_lookup(self):
-        index = LinkIndex()
-        index.add("x", 5.0)
-        assert "x" in index
-        assert "y" not in index
-        assert index.id_of("x") == 0

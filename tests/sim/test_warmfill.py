@@ -8,6 +8,7 @@ These tests drive randomized admit/retire/solve sessions through both
 solvers in lockstep and compare every solve exactly, then pin that each
 mode actually fired and that the tuning guards (dirty limit, round
 limit, cache budget) degrade to the cold path without changing bits.
+The guards are module constants, so those tests patch them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.sim.maxmin import FillScratch, Incidence, fill_levels
+from repro.sim import warmfill
 from repro.sim.warmfill import WarmFill
 
 
@@ -29,13 +31,10 @@ class Session:
     identical inputs and asserts exact equality.
     """
 
-    def __init__(self, num_links: int, seed: int, warm: WarmFill = None,
-                 **warm_kwargs) -> None:
+    def __init__(self, num_links: int, seed: int, warm: WarmFill = None) -> None:
         self.rng = np.random.default_rng(seed)
         self.caps = self.rng.integers(1, 40, size=num_links).astype(float)
-        self.warm = warm if warm is not None else WarmFill(
-            self.caps, **warm_kwargs
-        )
+        self.warm = warm if warm is not None else WarmFill(self.caps)
         self.inc = Incidence()
         self.scratch = FillScratch()
         self.link_refs = np.zeros(num_links, dtype=np.intp)
@@ -150,32 +149,37 @@ class TestRandomizedEquivalence:
 class TestGuardDegradation:
     """Exceeding any tuning guard falls back cold, bits unchanged."""
 
-    def test_dirty_limit_zero_forces_cold(self):
-        session = Session(num_links=24, seed=2, dirty_limit=0)
+    def test_dirty_limit_zero_forces_cold(self, monkeypatch):
+        monkeypatch.setattr(warmfill, "_DIRTY_LIMIT", 0)
+        session = Session(num_links=24, seed=2)
         session.churn(events=40)
         counters = session.warm.counters
         # Only empty-delta solves (nothing admitted or retired since the
         # last solve) may replay warm; every real delta trips the guard.
         assert counters.get("alloc_resolved_links", 0) == 0
 
-    def test_tiny_round_limit(self):
-        session = Session(num_links=24, seed=2, round_limit=1)
+    def test_tiny_round_limit(self, monkeypatch):
+        monkeypatch.setattr(warmfill, "_ROUND_LIMIT", 1)
+        session = Session(num_links=24, seed=2)
         session.churn(events=40)
 
-    def test_tiny_cache_budget(self):
-        session = Session(num_links=24, seed=2, cache_cells=8)
+    def test_tiny_cache_budget(self, monkeypatch):
+        monkeypatch.setattr(warmfill, "_CACHE_CELLS", 8)
+        session = Session(num_links=24, seed=2)
         session.churn(events=40)
         assert session.warm.counters.get("alloc_warm_solves", 0) == 0
 
-    def test_tiny_corr_limit(self):
-        session = Session(num_links=24, seed=2, corr_limit=1)
+    def test_tiny_corr_limit(self, monkeypatch):
+        monkeypatch.setattr(warmfill, "_CORR_LIMIT", 1)
+        session = Session(num_links=24, seed=2)
         session.churn(events=60)
 
 
 class TestLifecycle:
-    def test_shadow_validation_passes(self):
-        """validate=True shadow-checks every solve against a cold run."""
-        session = Session(num_links=24, seed=11, validate=True)
+    def test_shadow_validation_passes(self, monkeypatch):
+        """Validation shadow-checks every solve against a cold run."""
+        monkeypatch.setattr(warmfill, "_VALIDATE_DEFAULT", True)
+        session = Session(num_links=24, seed=11)
         session.churn(events=50)
 
     def test_reset_reuse(self):
