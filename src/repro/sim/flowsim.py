@@ -26,22 +26,16 @@ bit-for-bit identical to the per-event rebuild.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.network import Network
 from repro.routing.base import RoutingScheme
 from repro.sim.engine import trace as sim_trace
-from repro.sim.maxmin import (
-    AllocationError,
-    FillScratch,
-    Incidence,
-    fill_levels,
-)
+from repro.sim.maxmin import AllocationError, FillScratch, Incidence
 from repro.sim.results import FctResults, FlowRecord
 from repro.sim.warmfill import WarmFill
 from repro.traffic.flows import Flow
@@ -56,12 +50,6 @@ _RESIDUAL_BYTES = 1e-6
 #: same ``min``; the tolerance guards the measure-zero case of an
 #: arrival landing within rounding distance of a completion.
 _COMPLETION_RTOL = 1e-12
-
-#: Warm-engine kill switch, read once at import (``REPRO_ENGINE_WARM=0``
-#: forces cold solves).  Warm and cold engines are bit-identical — see
-#: tests/sim/test_warmfill.py — so the switch cannot change any cached
-#: result and is cache-key neutral.
-_WARM_DEFAULT = os.environ.get("REPRO_ENGINE_WARM", "1") != "0"  # repro-lint: disable=cache-key-purity
 
 
 @dataclass
@@ -143,12 +131,10 @@ class FlowSimulator:
         #: Bytes carried per link id, filled during :meth:`run`.
         self._link_bytes = np.zeros(len(self._caps))
         self._elapsed = 0.0
-        #: Warm-start allocator state; solves are bitwise identical to
-        #: cold :func:`fill_levels` calls (set ``REPRO_ENGINE_WARM=0``
-        #: to force the cold path).
-        self._warm: Optional[WarmFill] = (
-            WarmFill(self._caps) if _WARM_DEFAULT else None
-        )
+        #: Warm-start allocator: every solve goes through it, and each is
+        #: bitwise identical to a cold :func:`fill_levels` call, which it
+        #: falls back to whenever its replay cannot prove exactness.
+        self._warm = WarmFill(self._caps)
         #: Instrumentation from the most recent :meth:`run`.
         self.trace = sim_trace.SimTrace()
 
@@ -194,8 +180,7 @@ class FlowSimulator:
         self._num_active = 0
         self._link_bytes[:] = 0.0
         self._elapsed = 0.0
-        if self._warm is not None:
-            self._warm.reset()
+        self._warm.reset()
         self.trace = sim_trace.SimTrace()
 
     def _admit(self, flow: Flow) -> np.ndarray:
@@ -237,8 +222,7 @@ class FlowSimulator:
         self._alive_ids[self._alive_n] = slot
         self._alive_n += 1
         self._incidence.append(slot, link_ids)
-        if self._warm is not None:
-            self._warm.admit(slot, link_ids)
+        self._warm.admit(slot, link_ids)
         self._num_active += 1
         return link_ids
 
@@ -256,8 +240,7 @@ class FlowSimulator:
         next_arrival = 0
         inc = self._incidence
         warm = self._warm
-        if warm is not None:
-            warm.counters.clear()
+        warm.counters.clear()
         run_trace = sim_trace.SimTrace()
         run_started = perf()
 
@@ -291,17 +274,10 @@ class FlowSimulator:
             alive = self._alive_ids[: self._alive_n]
 
             allocate_started = perf()
-            if warm is not None:
-                levels, iterations = warm.solve(
-                    inc.ent, inc.lnk, inc.val, alive_mask,
-                    self._link_refs, self._fill_scratch,
-                )
-            else:
-                levels, iterations = fill_levels(
-                    inc.ent, inc.lnk, inc.val, self._caps, alive_mask,
-                    links=np.flatnonzero(self._link_refs > 0),
-                    scratch=self._fill_scratch,
-                )
+            levels, iterations = warm.solve(
+                inc.ent, inc.lnk, inc.val, alive_mask,
+                self._link_refs, self._fill_scratch,
+            )
             run_trace.add_time("allocate", perf() - allocate_started)
             run_trace.count("events")
             run_trace.count("allocator_iterations", iterations)
@@ -368,8 +344,7 @@ class FlowSimulator:
                     kept = alive[~done_mask]
                     self._alive_ids[: len(kept)] = kept
                     self._alive_n = len(kept)
-                    if warm is not None:
-                        warm.retire(done.tolist())
+                    warm.retire(done.tolist())
                     self._num_active -= int(done.size)
                     run_trace.count("flows_completed", int(done.size))
                     run_trace.count("retire_cohorts")
@@ -377,9 +352,8 @@ class FlowSimulator:
                     inc.compact(self._slot_alive[:nslots])
 
         self._elapsed = now
-        if warm is not None:
-            for key, value in warm.counters.items():
-                run_trace.count(key, value)
+        for key, value in warm.counters.items():
+            run_trace.count(key, value)
         run_trace.add_time("run", sim_trace.perf_now() - run_started)
         if now > 0.0:
             run_trace.snapshot_utilization("flowsim", self.link_utilization())

@@ -48,8 +48,8 @@ class FillRecorder(Protocol):
     """Observer for :func:`fill_levels` filling rounds.
 
     A recorder sees every round of a solve exactly as the solver computed
-    it — the compressed link ids, the demand and pre-subtraction remaining
-    vectors over them, the chosen increment, and the freeze decision.
+    it — the compressed link ids, the demand over them, the chosen
+    increment, and the freeze decision.
     :mod:`repro.sim.warmfill` uses one to snapshot a solve so the next
     event can be replayed incrementally instead of re-solved from scratch.
     Recording never changes a float operation of the solve itself.
@@ -59,7 +59,6 @@ class FillRecorder(Protocol):
         self,
         links: np.ndarray,
         demand: np.ndarray,
-        rem_pre: np.ndarray,
         increment: float,
         current: float,
         frozen: np.ndarray,
@@ -68,10 +67,6 @@ class FillRecorder(Protocol):
         forced: bool,
     ) -> None:
         """One filling round, in compressed link space."""
-        ...
-
-    def on_done(self, levels: np.ndarray, iterations: int) -> None:
-        """The solve finished normally with these levels."""
         ...
 
 
@@ -258,7 +253,6 @@ def fill_levels(
         increment = float(headroom.min())
         if not math.isfinite(increment) or increment < 0:
             raise AllocationError("allocation cannot make progress")
-        rem_pre = remaining.copy() if recorder is not None else None
         current += increment
         remaining -= increment * demand
         # Freeze entities crossing any saturated link they use.  A link
@@ -280,11 +274,9 @@ def fill_levels(
         w_lnk = w_lnk[keep]
         w_val = w_val[keep]
         if recorder is not None:
-            assert rem_pre is not None
             recorder.on_round(
                 links,
                 demand,
-                rem_pre,
                 increment,
                 current,
                 frozen,
@@ -293,8 +285,6 @@ def fill_levels(
                 was_forced,
             )
 
-    if recorder is not None:
-        recorder.on_done(level, iterations)
     return level, iterations
 
 

@@ -24,80 +24,69 @@ make incremental replay exact rather than approximate:
   elementwise: link ``l``'s remaining depends only on the per-round
   ``(increment, demand[l])`` history.  Replaying that history with
   scalar IEEE ops produces the identical float chain.
-* **Compressed = full link space.**  The cold solver works on the sorted
-  distinct referenced links.  Unreferenced links carry zero demand and
-  infinite headroom, so a full-link-space replay computes the same
-  minima, the same argmin tie-breaks (ids ascend in both spaces), and
-  the same saturation sets.
+* **Compressed vs full link space.**  The cold solver works on the
+  sorted distinct referenced links; the cache keys rounds by full link
+  id.  Unreferenced links carry zero demand and infinite headroom, so
+  they never set an increment, tie, or saturate, and a link the delta
+  newly references replays from its full capacity.
 
-Three modes, tried in order:
+Two modes, tried in order:
 
 * **Scalar replay** (`_try_scalar`): succeeds when every cached round's
   increment survives the delta bitwise.  Per round it re-derives the
   headroom of the *dirty* links (links of the added/removed entities)
   with Python-scalar IEEE arithmetic and checks the cached increment is
   still the global minimum — cached tie links outside the dirty set pin
-  the clean-link minimum exactly.  Cost is O(dirty links x rounds),
-  independent of network size.
-* **Vector suffix replay** (`_run_vector`): from the first divergent
-  round, re-runs the remaining rounds as full-link-space vector ops
-  seeded from the cached pre-round remaining snapshot (patched at dirty
-  links) and the cached demand plus integer corrections.  It assembles
-  the identical floats the cold solver would, so it is exact by
-  construction, with no O(incidence) pass.
+  the clean-link minimum exactly.  Admissions still unfrozen after the
+  cached rounds get extra rounds over the dirty links alone
+  (`_run_residual`).  Cost is O(dirty links x rounds), independent of
+  network size.  A forced cached round, a changed increment, or an old
+  entity freezing in a different round means the cached structure
+  diverged, and the solve runs cold.
 * **Cold** (`fill_levels` + a :class:`FillRecorder`): the ground truth.
-  Runs on the first event, when a guard trips (dirty set too large,
-  correction set cascading, round count past budget), and rebuilds the
-  round cache for subsequent warm solves.
+  Runs on the first event, on a divergence, and when a guard trips, and
+  records the round cache for subsequent warm solves.
 
-Setting ``REPRO_WARM_VALIDATE=1`` shadows every warm solve with a cold
-solve and asserts the levels match bitwise — the regression suite runs
-with it on.
+Two guards bound the warm bookkeeping; past them a solve runs cold,
+which is always exact, just slower:
+
+* ``_DIRTY_LIMIT``: deltas touching more links are not replayed.
+* ``_ROUND_LIMIT``: only solves of at most this many filling rounds are
+  cached or extended.  A many-round solve rarely survives the next
+  delta, and recording it costs more than a plain cold solve; DESIGN.md
+  §6.1 has the measured round counts behind the cap.
+
+``_VALIDATE_DEFAULT`` shadows every warm solve with a cold solve and
+asserts the levels match bitwise; the regression tests switch it on.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.sim.maxmin import _EPSILON, FillScratch, fill_levels
 
-#: Smallest positive subnormal: ``max(d, _TINY)`` equals ``d`` for every
-#: positive float, so guarding the divisor this way changes no headroom
-#: of a used link while keeping zero-demand links out of 0/0 territory.
-_TINY = 5e-324
-
-#: Fallback guards.  Solves whose delta or replay outgrows these run cold
-#: (always exact, just slower); the limits only bound warm bookkeeping.
+#: Fallback guards (see the module docstring).
 _DIRTY_LIMIT = 160
-_ROUND_LIMIT = 96
-_CORR_LIMIT = 2048
-#: Cache budget in array cells (rounds x links); about 50 MB of float64
-#: for the two per-round snapshots together.
-_CACHE_CELLS = 3_200_000
-#: Vector replay works in the full link space; a cold solve works in the
-#: compressed active space.  When the replayed suffix would sweep more
-#: than this multiple of the estimated cold work, run cold instead.
-_VECTOR_FACTOR = 4.0
+_ROUND_LIMIT = 2
 
 _INF = math.inf
 
-#: Shadow validation, read once at import.  Validation only adds a cold
-#: shadow solve plus a bitwise compare — it cannot change any result, so
-#: it is cache-key neutral by construction.
-_VALIDATE_DEFAULT = os.environ.get("REPRO_WARM_VALIDATE", "") not in ("", "0")  # repro-lint: disable=cache-key-purity
+#: Shadow validation only adds a cold solve plus a bitwise compare, so it
+#: cannot change any result; tests turn it on by patching this constant.
+_VALIDATE_DEFAULT = False
 
-
-class _B(Exception):
-    """Internal: scalar replay diverged; carries the vector handoff."""
-
-    def __init__(self, j0: int, rem_pre: Dict[int, float]) -> None:
-        super().__init__(j0)
-        self.j0 = j0
-        self.rem_pre = rem_pre
+#: A replayed cached round: demand and headroom at the dirty links, the
+#: dirty links that saturated, and the admissions that froze.
+_Patch = Tuple[Dict[int, float], Dict[int, float], Set[int], List[int]]
+#: A residual round past the cache: increment, level, demand and headroom
+#: at the dirty links, saturated links, frozen admissions, forced flag.
+_Residual = Tuple[
+    float, float, Dict[int, float], Dict[int, float], Set[int], List[int], bool
+]
 
 
 class _Cold(Exception):
@@ -111,8 +100,8 @@ class _Cold(Exception):
 class _Recorder:
     """Snapshots a cold solve's rounds into full-link-space caches."""
 
-    def __init__(self, owner: "WarmFill") -> None:
-        self._owner = owner
+    def __init__(self, num_links: int) -> None:
+        self._num_links = num_links
         self.overflow = False
         self.inc: List[float] = []
         self.cur: List[float] = []
@@ -121,14 +110,11 @@ class _Recorder:
         self.tie: List[Set[int]] = []
         self.forced: List[bool] = []
         self.d: List[np.ndarray] = []
-        self.rem: List[np.ndarray] = []
-        self.done = False
 
     def on_round(
         self,
         links: np.ndarray,
         demand: np.ndarray,
-        rem_pre: np.ndarray,
         increment: float,
         current: float,
         frozen: np.ndarray,
@@ -138,16 +124,11 @@ class _Recorder:
     ) -> None:
         if self.overflow:
             return
-        owner = self._owner
-        if (len(self.inc) + 1) * owner.num_links > _CACHE_CELLS or len(
-            self.inc
-        ) >= _ROUND_LIMIT:
+        if len(self.inc) >= _ROUND_LIMIT:
             self.overflow = True
             return
-        d_full = np.zeros(owner.num_links)
+        d_full = np.zeros(self._num_links)
         d_full[links] = demand
-        rem_full = owner.caps.copy()
-        rem_full[links] = rem_pre
         self.inc.append(increment)
         self.cur.append(current)
         self.frz.append(set(int(e) for e in frozen))
@@ -155,10 +136,6 @@ class _Recorder:
         self.tie.append(set(int(l) for l in links[tie_mask]))
         self.forced.append(forced)
         self.d.append(d_full)
-        self.rem.append(rem_full)
-
-    def on_done(self, levels: np.ndarray, iterations: int) -> None:
-        self.done = True
 
 
 class WarmFill:
@@ -168,7 +145,7 @@ class WarmFill:
     retirement (:meth:`retire`) and calls :meth:`solve` wherever it
     previously called :func:`fill_levels`; results are bitwise
     identical.  Whether a warm solve is also cheaper depends on the
-    workload: DESIGN.md §6.1 records the measured mode mix.
+    workload: DESIGN.md §6.1 records the measurements.
     """
 
     def __init__(self, caps: np.ndarray) -> None:
@@ -194,24 +171,7 @@ class WarmFill:
         self._tie: List[Set[int]] = []
         self._forced: List[bool] = []
         self._d: List[np.ndarray] = []
-        self._rem: List[np.ndarray] = []
         self._levels = np.zeros(1024)
-
-        # Vector-replay scratch.
-        self._b_dsafe = np.empty(self.num_links)
-        self._b_h = np.empty(self.num_links)
-        self._b_unused = np.empty(self.num_links, dtype=bool)
-
-        # Scalar-replay handoff state (rebuilt by every _try_scalar call).
-        self._corr: Dict[int, int] = {}
-        self._unf_adds: Set[int] = set()
-        self._rmset: Set[int] = set()
-        self._patch_prefix: List[
-            Tuple[Dict[int, float], Dict[int, float], Dict[int, float], Set[int], List[int]]
-        ] = []
-        self._dlist: List[int] = []
-        self._rem_a: Dict[int, float] = {}
-        self._sat_a: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Owner notifications
@@ -259,7 +219,6 @@ class WarmFill:
         self._tie.clear()
         self._forced.clear()
         self._d.clear()
-        self._rem.clear()
 
     def _count(self, key: str, amount: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + amount
@@ -280,8 +239,8 @@ class WarmFill:
         """Levels for the current actives, bitwise equal to a cold solve.
 
         ``ent``/``lnk``/``val``/``active``/``link_refs`` describe the
-        same state a cold :func:`fill_levels` call would see; the warm
-        modes only read the cached rounds plus the admit/retire delta,
+        same state a cold :func:`fill_levels` call would see; the scalar
+        replay only reads the cached rounds plus the admit/retire delta,
         and the cold fallback consumes the arrays directly.
         """
         self._count("alloc_solves")
@@ -292,29 +251,8 @@ class WarmFill:
             try:
                 iterations = self._try_scalar(adds, rems)
                 self._count("alloc_warm_scalar")
-            except _B as handoff:
-                # The vector suffix sweeps full-link-space arrays once per
-                # replayed round; a cold solve sweeps only the active
-                # entries plus referenced links.  On large networks with
-                # few actives the replay can cost more than starting over,
-                # so compare the two estimates before committing to it.
-                suffix = max(len(self._inc) - handoff.j0, 1)
-                cold_work = (len(self._inc) + 1) * (
-                    lnk.size + int(np.count_nonzero(link_refs))
-                )
-                if suffix * self.num_links > _VECTOR_FACTOR * cold_work:
-                    self._count("alloc_cold_vector_guard")
-                    iterations = -1
-                else:
-                    try:
-                        iterations = self._run_vector(adds, rems, handoff)
-                        self._count("alloc_warm_vector")
-                    except _Cold as bail:
-                        self._count("alloc_cold_" + bail.reason)
-                        iterations = -1
             except _Cold as bail:
                 self._count("alloc_cold_" + bail.reason)
-                iterations = -1
         else:
             self._count("alloc_cold_nocache")
         if iterations < 0:
@@ -381,7 +319,7 @@ class WarmFill:
     ) -> int:
         self._count("alloc_cold_solves")
         self._invalidate()
-        recorder = _Recorder(self)
+        recorder = _Recorder(self.num_links)
         levels, iterations = fill_levels(
             ent, lnk, val, self.caps, active,
             links=np.flatnonzero(link_refs > 0),
@@ -392,7 +330,7 @@ class WarmFill:
             self._levels = np.zeros(max(2 * len(self._levels), len(levels)))
         self._levels[: len(levels)] = levels
         self._levels[len(levels):] = 0.0
-        if recorder.done and not recorder.overflow:
+        if not recorder.overflow:
             self._inc = recorder.inc
             self._cur = recorder.cur
             self._frz = recorder.frz
@@ -400,7 +338,6 @@ class WarmFill:
             self._tie = recorder.tie
             self._forced = recorder.forced
             self._d = recorder.d
-            self._rem = recorder.rem
             self._frz_round = {
                 e: j for j, frz in enumerate(self._frz) for e in frz
             }
@@ -408,7 +345,7 @@ class WarmFill:
         return iterations
 
     # ------------------------------------------------------------------
-    # Mode A: scalar replay of every cached round
+    # Scalar replay of every cached round
     # ------------------------------------------------------------------
 
     def _try_scalar(self, adds: List[int], rems: List[int]) -> int:
@@ -429,26 +366,14 @@ class WarmFill:
                 corr[l] = corr.get(l, 0) - 1
         unf_adds = set(adds)
         rmset = set(rems)
-        rounds = len(self._inc)
         # Per-round patch data, applied only if the whole replay succeeds.
-        patch: List[
-            Tuple[Dict[int, float], Dict[int, float], Dict[int, float], Set[int], List[int]]
-        ] = []
+        patch: List[_Patch] = []
 
-        self._corr = corr  # vector handoff reads the live correction map
-        self._unf_adds = unf_adds
-        self._rmset = rmset
-        self._patch_prefix = patch
-        self._dlist = dlist
-        self._rem_a = rem_a
-        self._sat_a = sat_a
-
-        for j in range(rounds):
+        for j in range(len(self._inc)):
             inc = self._inc[j]
             if self._forced[j]:
-                # A forced round's argmin needs every link's headroom;
-                # the vector replay recomputes it exactly.
-                raise _B(j, dict(rem_a))
+                # A forced round's argmin needs every link's headroom.
+                raise _Cold("diverged")
             dcj = self._d[j]
             dj: Dict[int, float] = {}
             hj: Dict[int, float] = {}
@@ -471,8 +396,7 @@ class WarmFill:
             else:
                 effective = min_dirty
             if effective != inc:
-                raise _B(j, dict(rem_a))
-            rem_pre = dict(rem_a)
+                raise _Cold("diverged")
             dsat: Set[int] = set()
             for l, v in dj.items():
                 if v > 0.0:
@@ -490,7 +414,7 @@ class WarmFill:
                     elif fr > j:
                         # An old entity would freeze earlier than cached:
                         # its other (possibly clean) links lose demand.
-                        raise _B(j, rem_pre)
+                        raise _Cold("diverged")
             for e in self._frz[j]:
                 if e in rmset:
                     continue
@@ -501,7 +425,7 @@ class WarmFill:
                         covered = True
                         break
                 if not covered:
-                    raise _B(j, rem_pre)
+                    raise _Cold("diverged")
             newly = sorted(newly_set)
             for a in newly:
                 unf_adds.discard(a)
@@ -512,10 +436,10 @@ class WarmFill:
                 if e in rmset:
                     for l in self._links[e]:
                         corr[l] = corr.get(l, 0) + 1
-            patch.append((dj, rem_pre, hj, dsat, newly))
+            patch.append((dj, hj, dsat, newly))
 
-        residual = self._run_residual()
-        self._commit_prefix(rounds)
+        residual = self._run_residual(unf_adds, corr, rem_a, sat_a, dlist)
+        self._commit_prefix(patch, dlist, rmset)
         self._commit_residual(residual)
         for r in rems:
             self._levels[r] = 0.0
@@ -523,18 +447,14 @@ class WarmFill:
 
     def _run_residual(
         self,
-    ) -> List[Tuple[float, float, Dict[int, float], Dict[int, float], Dict[int, float], Set[int], List[int], bool]]:
+        unf_adds: Set[int],
+        corr: Dict[int, int],
+        rem_a: Dict[int, float],
+        sat_a: Dict[int, float],
+        dlist: List[int],
+    ) -> List[_Residual]:
         """Extra rounds past the cached ones for still-unfrozen adds."""
-        out: List[
-            Tuple[float, float, Dict[int, float], Dict[int, float], Dict[int, float], Set[int], List[int], bool]
-        ] = []
-        unf_adds = self._unf_adds
-        if not unf_adds:
-            return out
-        corr = self._corr
-        rem_a = self._rem_a
-        sat_a = self._sat_a
-        dlist = self._dlist
+        out: List[_Residual] = []
         cur = self._cur[-1] if self._cur else 0.0
         while unf_adds:
             if len(self._inc) + len(out) >= _ROUND_LIMIT:
@@ -557,7 +477,6 @@ class WarmFill:
                 raise _Cold("residual_bail")
             inc = min_h
             cur = cur + inc
-            rem_pre = dict(rem_a)
             dsat: Set[int] = set()
             for l, v in dj.items():
                 r = rem_a[l] - inc * v
@@ -581,23 +500,20 @@ class WarmFill:
                 self._levels[a] = cur
                 for l in self._links[a]:
                     corr[l] = corr.get(l, 0) - 1
-            out.append((inc, cur, dj, hj, rem_pre, dsat, newly, forced))
+            out.append((inc, cur, dj, hj, dsat, newly, forced))
         return out
 
-    def _commit_prefix(self, upto: int) -> None:
-        """Patch cached rounds ``[0, upto)`` with the replayed deltas."""
-        dlist = self._dlist
-        rmset = self._rmset
-        for j in range(upto):
-            dj, rem_pre, hj, dsat, newly = self._patch_prefix[j]
+    def _commit_prefix(
+        self, patch: List[_Patch], dlist: List[int], rmset: Set[int]
+    ) -> None:
+        """Patch the cached rounds with the replayed deltas."""
+        for j, (dj, hj, dsat, newly) in enumerate(patch):
             inc = self._inc[j]
             darr = self._d[j]
-            rarr = self._rem[j]
             tie = self._tie[j]
             sat = self._sat[j]
             for l in dlist:
                 darr[l] = dj[l]
-                rarr[l] = rem_pre[l]
                 h = hj.get(l)
                 if h is not None and h == inc:
                     tie.add(l)
@@ -614,162 +530,19 @@ class WarmFill:
                 frz.add(a)
                 self._frz_round[a] = j
 
-    def _commit_residual(
-        self,
-        residual: List[
-            Tuple[float, float, Dict[int, float], Dict[int, float], Dict[int, float], Set[int], List[int], bool]
-        ],
-    ) -> None:
-        if not residual:
-            return
-        if (len(self._inc) + len(residual)) * self.num_links > _CACHE_CELLS:
-            self._invalidate()
-            return
-        base = self._rem[-1] - self._inc[-1] * self._d[-1]
-        for inc, cur, dj, hj, rem_pre, dsat, newly, forced in residual:
+    def _commit_residual(self, residual: List[_Residual]) -> None:
+        for inc, cur, dj, hj, dsat, newly, forced in residual:
             d_full = np.zeros(self.num_links)
-            rem_full = base.copy()
             for l, v in dj.items():
                 d_full[l] = v
-            for l, v in rem_pre.items():
-                rem_full[l] = v
             j = len(self._inc)
             self._inc.append(inc)
             self._cur.append(cur)
             self._frz.append(set(newly))
             self._sat.append(set(dsat))
-            self._tie.append(
-                {l for l, h in hj.items() if dj.get(l, 0.0) > 0.0 and h == inc}
-            )
+            # Every link with headroom here carries positive demand.
+            self._tie.append({l for l, h in hj.items() if h == inc})
             self._forced.append(forced)
             self._d.append(d_full)
-            self._rem.append(rem_full)
             for a in newly:
                 self._frz_round[a] = j
-
-    # ------------------------------------------------------------------
-    # Mode B: exact vector replay of the divergent suffix
-    # ------------------------------------------------------------------
-
-    def _run_vector(
-        self, adds: List[int], rems: List[int], handoff: _B
-    ) -> int:
-        j0 = handoff.j0
-        rounds = len(self._inc)
-        num_links = self.num_links
-        corr = self._corr
-        rmset = self._rmset
-        # Full-space remaining at round j0: cached snapshot, dirty links
-        # patched with the scalar-replayed chain.
-        rem = self._rem[j0].copy()
-        for l, v in handoff.rem_pre.items():
-            rem[l] = v
-        unf: Set[int] = set(self._unf_adds)
-        for r in range(j0, rounds):
-            for e in self._frz[r]:
-                if e not in rmset:
-                    unf.add(e)
-        cur = self._cur[j0 - 1] if j0 > 0 else 0.0
-        jc = j0
-        satv = self._satv
-        dsafe = self._b_dsafe
-        h = self._b_h
-        unused = self._b_unused
-        new_rounds: List[
-            Tuple[float, float, Set[int], Set[int], Set[int], bool, np.ndarray, np.ndarray]
-        ] = []
-
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            while unf:
-                if j0 + len(new_rounds) >= _ROUND_LIMIT:
-                    raise _Cold("round_guard")
-                if len(corr) > _CORR_LIMIT:
-                    raise _Cold("corr_guard")
-                self._count("alloc_replay_rounds")
-                while jc < rounds and all(
-                    (e in rmset or e not in unf) for e in self._frz[jc]
-                ):
-                    for e in self._frz[jc]:
-                        for l in self._links[e]:
-                            corr[l] = corr.get(l, 0) + 1
-                    jc += 1
-                d_eff = self._d[jc].copy() if jc < rounds else np.zeros(num_links)
-                if corr:
-                    idx = np.fromiter(corr.keys(), dtype=np.intp, count=len(corr))
-                    vals = np.fromiter(
-                        corr.values(), dtype=np.float64, count=len(corr)
-                    )
-                    d_eff[idx] += vals
-                used = d_eff > 0.0
-                if not used.any():
-                    raise _Cold("vector_bail")
-                np.maximum(d_eff, _TINY, out=dsafe)
-                np.divide(rem, dsafe, out=h)
-                np.logical_not(used, out=unused)
-                np.copyto(h, np.inf, where=unused)
-                inc = float(h.min())
-                if not math.isfinite(inc) or inc < 0:
-                    raise _Cold("vector_bail")
-                rem_pre = rem.copy()
-                cur = cur + inc
-                rem -= inc * d_eff
-                sat_mask = used & (rem <= satv)
-                sat_ids = np.flatnonzero(sat_mask)
-                frz: Set[int] = set()
-                forced = sat_ids.size == 0
-                if forced:
-                    freeze_from: Tuple[int, ...] = (int(np.argmin(h)),)
-                else:
-                    freeze_from = tuple(int(l) for l in sat_ids)
-                for l in freeze_from:
-                    for e in self._users.get(l, ()):
-                        if e in unf:
-                            frz.add(e)
-                if not frz:
-                    raise _Cold("vector_bail")
-                tie_ids = np.flatnonzero(used & (h == inc))
-                for e in sorted(frz):
-                    unf.discard(e)
-                    self._levels[e] = cur
-                    for l in self._links[e]:
-                        corr[l] = corr.get(l, 0) - 1
-                new_rounds.append(
-                    (
-                        inc,
-                        cur,
-                        frz,
-                        set(int(l) for l in sat_ids),
-                        set(int(l) for l in tie_ids),
-                        forced,
-                        d_eff,
-                        rem_pre,
-                    )
-                )
-
-        # Commit: patch the identical prefix, replace the suffix.
-        self._commit_prefix(j0)
-        del self._inc[j0:]
-        del self._cur[j0:]
-        del self._frz[j0:]
-        del self._sat[j0:]
-        del self._tie[j0:]
-        del self._forced[j0:]
-        del self._d[j0:]
-        del self._rem[j0:]
-        for inc, cur, frz, sat, tie, forced, d_full, rem_pre in new_rounds:
-            j = len(self._inc)
-            self._inc.append(inc)
-            self._cur.append(cur)
-            self._frz.append(frz)
-            self._sat.append(sat)
-            self._tie.append(tie)
-            self._forced.append(forced)
-            self._d.append(d_full)
-            self._rem.append(rem_pre)
-            for e in sorted(frz):
-                self._frz_round[e] = j
-        for r in rems:
-            self._levels[r] = 0.0
-        if len(self._inc) * num_links > _CACHE_CELLS:
-            self._invalidate()
-        return len(self._inc)

@@ -8,10 +8,15 @@ against the verbatim seed implementations kept in
 :mod:`tests.sim.legacy_reference` — across all six routing schemes,
 seeded random topologies, fault-degraded networks, and the fig4/fig5
 experiment cells.
+
+Equality with an older copy shows "same as before", not "right", so
+every allocator solve these tests run is also certified max-min fair
+on its own (:func:`assert_max_min_fair`).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.units import transfer_seconds
@@ -29,6 +34,7 @@ from repro.routing import (
 from repro.sim import FlowSimulator, commodity_throughput, simulate_fct
 from repro.sim.results import fct_table
 from repro.sim.throughput import cs_throughput, place_cs_concrete
+from repro.sim.warmfill import WarmFill
 from repro.topology import dring, jellyfish, leaf_spine, xpander
 from repro.traffic import (
     CanonicalCluster,
@@ -53,6 +59,58 @@ SCHEMES = {
     "vlb": VlbRouting,
     "adaptive": CoarseAdaptiveRouting,
 }
+
+
+#: Relative slack for the certificate's load-vs-capacity comparisons: the
+#: loads are sums of levels, the solver's saturation test a subtraction
+#: chain, so the two agree only up to rounding.
+CERTIFICATE_RTOL = 1e-9
+
+
+def assert_max_min_fair(ent, lnk, val, caps, active, levels):
+    """Certify an allocation max-min fair by its bottleneck links.
+
+    An allocation is max-min fair iff it is feasible and every active
+    entity crosses a saturated link on which its level is the largest
+    (Bertsekas & Gallager, *Data Networks* §6.5).  ``ent``/``lnk``/``val``
+    is the incidence the solver saw, ``active`` its entity mask, and
+    ``levels`` the level per entity id.  O(incidence), vectorised.
+    """
+    on = active[ent]
+    ent, lnk, val = ent[on], lnk[on], val[on]
+    level = levels[ent]
+    load = np.bincount(lnk, weights=val * level, minlength=len(caps))
+    over = np.flatnonzero(load > caps * (1 + CERTIFICATE_RTOL))
+    assert over.size == 0, (
+        f"links {over[:8].tolist()} loaded past capacity: "
+        f"load={load[over[:8]].tolist()} cap={caps[over[:8]].tolist()}"
+    )
+    saturated = load >= caps * (1 - CERTIFICATE_RTOL)
+    top = np.full(len(caps), -np.inf)
+    np.maximum.at(top, lnk, level)
+    bottlenecked = saturated[lnk] & (level >= top[lnk])
+    has_bottleneck = np.zeros(len(active), dtype=bool)
+    has_bottleneck[ent[bottlenecked]] = True
+    missing = np.flatnonzero(active & ~has_bottleneck)
+    assert missing.size == 0, (
+        f"entities {missing[:8].tolist()} have no bottleneck link: "
+        f"levels={levels[missing[:8]].tolist()}"
+    )
+
+
+@pytest.fixture(autouse=True)
+def certified_solves(monkeypatch):
+    """Certify every allocation the engine's allocator returns."""
+    solve = WarmFill.solve
+
+    def certified(self, ent, lnk, val, active, link_refs, scratch):
+        levels, iterations = solve(
+            self, ent, lnk, val, active, link_refs, scratch
+        )
+        assert_max_min_fair(ent, lnk, val, self.caps, active, levels)
+        return levels, iterations
+
+    monkeypatch.setattr(WarmFill, "solve", certified)
 
 
 def assert_identical_results(engine, legacy):
@@ -172,6 +230,42 @@ class TestFctParity:
         assert_identical_results(engine, legacy)
         expected = transfer_seconds(1e6, small_dring.server_link_capacity)
         assert engine.records[0].fct_seconds == pytest.approx(expected)
+
+
+class TestMaxMinCertificate:
+    def test_rejects_perturbed_allocations(self, small_dring, monkeypatch):
+        """Moving one flow's level by 1% either way fails the certificate."""
+        solves = []
+        certified = WarmFill.solve
+
+        def capture(self, ent, lnk, val, active, link_refs, scratch):
+            levels, iterations = certified(
+                self, ent, lnk, val, active, link_refs, scratch
+            )
+            solves.append(
+                (ent.copy(), lnk.copy(), val.copy(), self.caps,
+                 active.copy(), levels.copy())
+            )
+            return levels, iterations
+
+        monkeypatch.setattr(WarmFill, "solve", capture)
+        cluster, flows = workload(small_dring, num_flows=100)
+        simulate_fct(
+            small_dring, EcmpRouting(small_dring),
+            Placement(cluster, small_dring), flows,
+        )
+        assert len(solves) > 100
+        for ent, lnk, val, caps, active, levels in solves:
+            flow = ent[active[ent]][0]
+            for factor, failure in [
+                (0.99, "no bottleneck link"), (1.01, "past capacity")
+            ]:
+                perturbed = levels.copy()
+                perturbed[flow] *= factor
+                with pytest.raises(AssertionError, match=failure):
+                    assert_max_min_fair(
+                        ent, lnk, val, caps, active, perturbed
+                    )
 
 
 class TestThroughputParity:

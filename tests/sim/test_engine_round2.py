@@ -3,11 +3,13 @@
 The second engine round batches same-timestamp event cohorts and
 replaces most cold allocator solves with warm-start replays
 (:mod:`repro.sim.warmfill`).  Both are pure optimizations: this module
-pins the warm/batched engine bitwise against the cold engine *and* the
-verbatim legacy reference — across all six routing schemes and on
-fault-degraded networks — and checks the new observability surface
-(cohort histograms, warm-start counters) plus the
+pins the warm/batched engine bitwise against the verbatim legacy
+reference — with every warm solve also shadow-checked against a cold
+solve, and under big synchronized arrival cohorts — and checks the new
+observability surface (cohort histograms, warm-start counters) plus the
 :meth:`FlowSimulator.reset` contract the sharding layer relies on.
+Parity across all six schemes and on fault-degraded networks lives in
+``test_engine_parity.py``.
 """
 
 from __future__ import annotations
@@ -15,14 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faults import FaultSpec, apply_fault_set, sample_fault_set
 from repro.routing import EcmpRouting
 from repro.sim import FlowSimulator, simulate_fct
-from repro.sim import flowsim as flowsim_module
 from repro.sim import warmfill as warmfill_module
 from repro.sim.engine import trace as sim_trace
 from repro.sim.packet import PacketSimulator
-from repro.topology import dring
 from repro.traffic import CanonicalCluster, Flow, Placement, generate_flows, uniform
 
 from tests.sim.legacy_reference import legacy_simulate_fct
@@ -33,15 +32,6 @@ from tests.sim.test_engine_parity import (
 )
 
 
-def run_cold(monkeypatch, network, routing, placement, flows, seed=0):
-    """A run with warm starts disabled (pure cold fill_levels path)."""
-    monkeypatch.setattr(flowsim_module, "_WARM_DEFAULT", False)
-    try:
-        return simulate_fct(network, routing, placement, flows, seed=seed)
-    finally:
-        monkeypatch.undo()
-
-
 def placement_for(network):
     cluster = CanonicalCluster(
         network.num_racks, min(network.servers_at(r) for r in network.racks)
@@ -50,45 +40,7 @@ def placement_for(network):
 
 
 class TestWarmVsColdVsLegacy:
-    """Warm-start engine == cold engine == legacy, bit for bit."""
-
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    def test_all_schemes(self, small_dring, scheme, monkeypatch):
-        _cluster, flows = workload(small_dring)
-        placement = placement_for(small_dring)
-        warm = simulate_fct(
-            small_dring, SCHEMES[scheme](small_dring), placement, flows
-        )
-        cold = run_cold(
-            monkeypatch, small_dring, SCHEMES[scheme](small_dring),
-            placement, flows,
-        )
-        legacy = legacy_simulate_fct(
-            small_dring, SCHEMES[scheme](small_dring), placement, flows
-        )
-        assert_identical_results(warm, cold)
-        assert_identical_results(warm, legacy)
-
-    @pytest.mark.parametrize(
-        "kind,fraction", [("link", 0.1), ("gray", 0.2), ("correlated", 0.1)]
-    )
-    def test_degraded_networks(self, kind, fraction, monkeypatch):
-        base = dring(6, 2, servers_per_rack=4)
-        fault_set = sample_fault_set(
-            base, FaultSpec(kind=kind, fraction=fraction), seed=5
-        )
-        net = apply_fault_set(base, fault_set)
-        _cluster, flows = workload(net, num_flows=200)
-        placement = placement_for(net)
-        warm = simulate_fct(net, SCHEMES["su2"](net), placement, flows)
-        cold = run_cold(
-            monkeypatch, net, SCHEMES["su2"](net), placement, flows
-        )
-        legacy = legacy_simulate_fct(
-            net, SCHEMES["su2"](net), placement, flows
-        )
-        assert_identical_results(warm, cold)
-        assert_identical_results(warm, legacy)
+    """Warm-start engine == cold solves == legacy, bit for bit."""
 
     @pytest.mark.parametrize("scheme", ["ecmp", "su2", "vlb", "adaptive"])
     def test_shadow_validated_runs(self, small_dring, scheme, monkeypatch):

@@ -132,11 +132,20 @@ class TestFaultsCommand:
         assert "Failure resilience — link faults" in cold.out
         assert "dring" in cold.out
         assert "Hottest fabric links" in cold.out
-        # Warm rerun: same table, every cell a cache hit.
+        engine = [
+            line for line in cold.err.splitlines()
+            if line.startswith("  engine: ")
+        ]
+        assert len(engine) == 1
+        for field in ("events=", "allocate=", "warm_reuse="):
+            assert field in engine[0]
+        # Warm rerun: same table, every cell a cache hit.  Traces come
+        # from execution, not the cache, so there is no engine line.
         assert main(args) == 0
         warm = capsys.readouterr()
         assert warm.out == cold.out
         assert "1 hits / 0 executed" in warm.err
+        assert "engine: " not in warm.err
 
     def test_faults_seed_determinism(self, tiny_scale, tmp_path, capsys):
         args = [
