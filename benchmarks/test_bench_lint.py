@@ -2,12 +2,12 @@
 
 Runs the full-repository ``repro lint --deep`` in a fresh interpreter
 (cold: includes interpreter start, imports, parsing all ~100 modules,
-call-graph construction and all three engine groups — the per-file AST
-rules plus the flow and concurrency deep suites) and asserts it lands
-under a wall-clock budget with a wide margin over the measured ~11s on
-a 2-vCPU VM.  If this fails, the pre-commit hook and the CI deep-lint
-job have become a tax on every contributor — fix the regression, don't
-raise the budget first.
+call-graph construction and both engine groups — the per-file AST rules
+plus the concurrency deep suite) and asserts it lands under a
+wall-clock budget with a wide margin over the measured ~8-13 s on a
+2-vCPU VM.  The CI deep-lint job runs it.  If this fails, the
+pre-commit hook and the CI deep-lint job have become a tax on every
+contributor — fix the regression, don't raise the budget first.
 """
 
 import json

@@ -780,9 +780,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if not paths:
         print("lint: no paths given and no src/tests here", file=sys.stderr)
         return 2
-    if args.diff_only and not args.baseline:
-        print("lint: --diff-only requires --baseline", file=sys.stderr)
-        return 2
 
     file_rules = args.rule
     deep_rules = None
@@ -815,46 +812,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
         )
         findings = sorted(set(findings) | set(deep_findings))
 
-    if args.write_baseline:
-        from repro.lint.baseline import write_baseline
-
-        count = write_baseline(findings, args.write_baseline)
-        print(
-            f"lint: wrote baseline with {count} finding(s) "
-            f"to {args.write_baseline}"
-        )
-        return 0
-
-    known = []
-    if args.baseline:
-        from repro.lint.baseline import (
-            BaselineError,
-            load_baseline,
-            partition,
-        )
-
-        try:
-            accepted = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return 2
-        new, known = partition(findings, accepted)
-        shown = new if args.diff_only else findings
-        gate = new
-    else:
-        shown = findings
-        gate = findings
-
     if args.format == "json":
-        print(render_json(shown))
+        print(render_json(findings))
     else:
-        print(render_text(shown))
-        if args.baseline and known:
-            print(
-                f"baseline: {len(known)} known finding(s) accepted, "
-                f"{len(gate)} new"
-            )
-    return 1 if gate else 0
+        print(render_text(findings))
+    return 1 if findings else 0
 
 
 def cmd_configs(args: argparse.Namespace) -> int:
@@ -1267,25 +1229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--deep",
         action="store_true",
-        help="also run the interprocedural (whole-package) analyses: "
-        "call-graph effect inference, seed provenance, unit "
-        "consistency, worker safety and the concurrency suite",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="accepted-findings file: fail only on findings not in it",
-    )
-    p.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings as the accepted baseline "
-        "and exit 0",
-    )
-    p.add_argument(
-        "--diff-only",
-        action="store_true",
-        help="with --baseline: report only new findings, hide known",
+        help="also run the interprocedural (whole-package) concurrency "
+        "suite: lockset races, lock order, blocking under a lock and "
+        "module state shared across threads",
     )
     p.set_defaults(func=cmd_lint)
 

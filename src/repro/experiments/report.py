@@ -9,10 +9,10 @@ Useful for CI jobs and for refreshing EXPERIMENTS.md.
 from __future__ import annotations
 
 import pathlib
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.runner import SMALL, Scale
+from repro.harness.clock import perf
 
 
 def _fig4(scale: Scale, seed: int) -> str:
@@ -171,9 +171,7 @@ ARTIFACTS: Dict[str, Callable[[Scale, int], str]] = {
 }
 
 
-# Writing artifacts and timing them for INDEX.txt is this function's
-# whole job; neither effect can reach a cached job runner from here.
-def generate_report(  # repro-effect: allow=reads-clock,does-io
+def generate_report(
     out_dir: pathlib.Path,
     scale: Scale = SMALL,
     seed: int = 0,
@@ -191,10 +189,10 @@ def generate_report(  # repro-effect: allow=reads-clock,does-io
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: List[Tuple[str, float]] = []
     for name in names:
-        start = time.perf_counter()
+        start = perf()
         text = ARTIFACTS[name](scale, seed)
         (out_dir / f"{name}.txt").write_text(text + "\n")
-        timings.append((name, time.perf_counter() - start))
+        timings.append((name, perf() - start))
     index = "\n".join(
         f"{name}.txt  ({seconds:.1f}s)" for name, seconds in timings
     )

@@ -6,7 +6,7 @@ it through this module, never through ``time`` directly.  That buys two
 things: tests pin time with :func:`fixed_clock` instead of sleeping or
 monkeypatching stdlib, and the ``no-wallclock`` lint rule's allowlist is
 exactly this one file, so a stray ``time.time()`` anywhere else in the
-harness or the simulators is a gate failure.
+``repro`` package is a gate failure.
 
 ``now()`` is epoch seconds (timestamps you store); ``perf()`` is a
 monotonic high-resolution reading (durations you subtract).  Keep the

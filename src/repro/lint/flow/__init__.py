@@ -5,7 +5,7 @@ over the ``repro`` package, derives a call graph, and runs every
 registered :class:`~repro.lint.flow.registry.FlowRule` against it.  Deep
 rules emit the same :class:`~repro.lint.findings.Finding` objects as the
 per-file rules, so ``# repro-lint: disable=...`` comments, the text/JSON
-reporters, ``--baseline`` and CI gating all apply unchanged.
+reporters and CI gating all apply unchanged.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
-"""Static concurrency analysis: locksets, lock order, blocking regions.
+"""Static concurrency analysis: locksets, lock order, blocking regions,
+module state shared across threads.
 
-Three interprocedural rules over the shared concurrency model (see
-:mod:`repro.lint.flow.concurrency.model`):
+Four interprocedural rules, three of them over the shared concurrency
+model (see :mod:`repro.lint.flow.concurrency.model`):
 
 * ``deep-lockset-races``       — Eraser-style lockset race detection
   with ``# repro-guard:`` declared invariants;
@@ -10,7 +11,9 @@ Three interprocedural rules over the shared concurrency model (see
   included);
 * ``deep-blocking-under-lock`` — the blocking effect lattice
   (joins-process / waits-network / sleeps / long-polls) propagated
-  bottom-up, flagged wherever a lock is held.
+  bottom-up, flagged wherever a lock is held;
+* ``deep-worker-safety``       — module-global mutation reachable from
+  HTTP handler methods and ``threading.Thread`` targets.
 """
 
 from repro.lint.flow.concurrency.blocking import (

@@ -1,7 +1,7 @@
 """``deep-blocking-under-lock``: no slow waits inside a critical section.
 
-Extends PR 4's effect lattice with four *blocking* effects, propagated
-bottom-up over the call graph exactly like purity:
+Four *blocking* effects, each entering a function syntactically and
+propagated bottom-up over the call graph to every caller:
 
 * ``joins-process``  — joins a thread/process or waits on worker pipes
   (``Thread.join``, ``Process.join``, ``Popen.wait``,
@@ -19,13 +19,18 @@ slowest client/worker, starving every other thread.  The one designed
 exception is ``Condition.wait`` holding exactly that condition — that
 *is* the long-poll idiom and releases the lock while waiting; holding
 any additional lock across the wait is still flagged.  A deliberate
-blocking call under a lock is absorbed the same way purity effects
-are: ``# repro-effect: allow=<effect>`` on the def line of the caller.
+blocking call under a lock is absorbed by ``# repro-effect:
+allow=<effect>`` on the def line of the caller (with a justification,
+same policy as suppressions); an allowance on a callee stops the
+effect propagating upward from it.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.findings import Finding
@@ -41,7 +46,6 @@ from repro.lint.flow.concurrency.model import (
     ConcurrencyModel,
     concurrency_facts,
 )
-from repro.lint.flow.effects import EffectAnalysis, EffectOrigin
 from repro.lint.flow.program import FunctionInfo, function_statements
 from repro.lint.flow.registry import FlowRule, register_flow_rule
 
@@ -123,19 +127,81 @@ def classify_unresolved(text: str) -> Optional[str]:
     return None
 
 
-class BlockingAnalysis(EffectAnalysis):
-    """Effect inference over the blocking lattice.
+#: ``# repro-effect: allow=<effect>[,<effect>]`` on a def line.
+_ALLOW_PATTERN = re.compile(
+    r"#\s*repro-effect:\s*allow\s*=\s*(?P<effects>[A-Za-z, \-]+)"
+)
 
-    Reuses the purity engine's fixpoint, origin tracking and
-    ``# repro-effect: allow=`` absorption; only what counts as a local
-    effect changes.  The concurrency model's richer receiver typing
-    recovers ``slot.process.join()``-style calls the call graph
-    attributes to builtins.
+
+def collect_effect_allowances(source: str) -> Dict[int, Set[str]]:
+    """Line -> effects explicitly allowed by a ``# repro-effect`` comment."""
+    allowances: Dict[int, Set[str]] = {}
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    except (tokenize.TokenError, SyntaxError, IndentationError):
+        return allowances
+    for token in tokens:
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _ALLOW_PATTERN.search(token.string)
+        if match is None:
+            continue
+        names = {
+            name.strip()
+            for name in match.group("effects").split(",")
+            if name.strip()
+        }
+        allowances.setdefault(token.start[0], set()).update(names)
+    return allowances
+
+
+class EffectOrigin:
+    """Why a function carries an effect: where it enters syntactically,
+    and through which callee it was inherited (for path rendering)."""
+
+    __slots__ = ("qname", "line", "via", "detail")
+
+    def __init__(
+        self, qname: str, line: int, via: Optional[str], detail: str
+    ) -> None:
+        self.qname = qname
+        self.line = line
+        self.via = via  # callee qname the effect came through, or None
+        self.detail = detail
+
+
+class BlockingAnalysis:
+    """Inferred blocking effects for every function in a call graph.
+
+    Local effects come from the call graph's resolved sites plus the
+    concurrency model's richer receiver typing, which recovers
+    ``slot.process.join()``-style calls the call graph attributes to
+    builtins.  They then propagate bottom-up to a fixpoint, recording
+    each effect's origin so findings can name the path.
     """
 
     def __init__(self, graph: CallGraph, model: ConcurrencyModel) -> None:
         self._model = model
-        super().__init__(graph)
+        self.callgraph = graph
+        self.program = graph.program
+        self.effects: Dict[str, Set[str]] = {}
+        self.origins: Dict[str, Dict[str, EffectOrigin]] = {}
+        self.allowances: Dict[str, Set[str]] = {}
+        allow_by_module = {
+            name: collect_effect_allowances(module.source)
+            for name, module in self.program.modules.items()
+        }
+        sites_by_caller: Dict[str, List[CallSite]] = {}
+        for site in graph.sites:
+            sites_by_caller.setdefault(site.caller, []).append(site)
+        for qname, info in self.program.functions.items():
+            local = self._local_effects(info, sites_by_caller.get(qname, []))
+            self.effects[qname] = set(local)
+            self.origins[qname] = local
+            allowed = allow_by_module[info.module].get(info.line, set())
+            if allowed:
+                self.allowances[qname] = allowed
+        self._propagate()
 
     def _local_effects(
         self, info: FunctionInfo, sites: List[CallSite]
@@ -194,11 +260,59 @@ class BlockingAnalysis(EffectAnalysis):
                         f"calls .{receiver.attr}.{method}()",
                     )
 
+    def _propagate(self) -> None:
+        changed = True
+        while changed:
+            changed = False
+            for qname in self.effects:
+                absorbed = self.allowances.get(qname, set())
+                for callee in sorted(self.callgraph.callees(qname)):
+                    callee_effects = self.effects.get(callee)
+                    if not callee_effects:
+                        continue
+                    for effect in callee_effects:
+                        if effect in absorbed:
+                            continue
+                        if effect in self.allowances.get(callee, set()):
+                            # The callee declared the effect intentional:
+                            # it stops propagating upward there.
+                            continue
+                        if effect not in self.effects[qname]:
+                            self.effects[qname].add(effect)
+                            origin = self.origins[callee][effect]
+                            self.origins[qname][effect] = EffectOrigin(
+                                origin.qname, origin.line, callee,
+                                origin.detail,
+                            )
+                            changed = True
+
+    def effects_of(self, qname: str) -> Set[str]:
+        return self.effects.get(qname, set())
+
+    def explain(self, qname: str, effect: str) -> str:
+        """Render the call path from ``qname`` to the effect's origin."""
+        hops: List[str] = []
+        current = qname
+        seen = set()
+        while True:
+            origin = self.origins.get(current, {}).get(effect)
+            if origin is None or origin.via is None or origin.via in seen:
+                break
+            seen.add(origin.via)
+            hops.append(_short(origin.via))
+            current = origin.via
+        origin = self.origins.get(current, {}).get(effect)
+        where = ""
+        if origin is not None:
+            module = self.program.functions[origin.qname].module
+            where = f" ({module}:{origin.line}: {origin.detail})"
+        path = " -> ".join(hops)
+        return (f"via {path}{where}" if path else where.strip()) or effect
+
 
 @register_flow_rule
 class DeepBlockingUnderLock(FlowRule):
     name = "deep-blocking-under-lock"
-    engine = "concurrency"
     summary = (
         "joins, network waits, sleeps or long-polls reached while a "
         "lock is held (critical sections paced by foreign progress)"

@@ -1,7 +1,7 @@
 """Shared concurrency model: locks, guard annotations, held-lock regions.
 
-Everything the three concurrency rules need is derived once per call
-graph and cached:
+Everything the lockset, lock-order and blocking rules need is derived
+once per call graph and cached:
 
 * **lock discovery** — instance attributes assigned a
   ``threading.Lock`` / ``RLock`` / ``Condition`` / ``Semaphore`` (or a
@@ -71,7 +71,7 @@ from repro.lint.flow.program import (
     annotation_name,
     function_statements,
 )
-from repro.lint.flow.worker import find_thread_entry_points
+from repro.lint.flow.concurrency.worker import find_thread_entry_points
 
 #: (kind, name) like the call-graph's LocalType: kind is CLASS or EXT.
 TypeRef = Tuple[str, str]

@@ -98,7 +98,6 @@ def build_lock_order(graph: CallGraph) -> LockOrderGraph:
 @register_flow_rule
 class DeepLockOrder(FlowRule):
     name = "deep-lock-order"
-    engine = "concurrency"
     summary = (
         "cycles in the interprocedural lock-acquisition-order graph "
         "(potential deadlocks), and same-path re-acquisition of "

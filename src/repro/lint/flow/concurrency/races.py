@@ -41,7 +41,6 @@ from repro.lint.flow.registry import FlowRule, register_flow_rule
 @register_flow_rule
 class DeepLocksetRaces(FlowRule):
     name = "deep-lockset-races"
-    engine = "concurrency"
     summary = (
         "shared instance state accessed with an empty or inconsistent "
         "lockset on thread-reachable paths (static Eraser)"

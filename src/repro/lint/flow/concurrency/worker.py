@@ -1,30 +1,15 @@
-"""deep-worker-safety: job code must survive the process-pool boundary.
+"""deep-worker-safety: thread entry points keep no module-level state.
 
-The executor runs every job in a fresh worker process: the runner is
-looked up by name in a re-imported module, the spec crosses the pipe as
-JSON scalars, and nothing else crosses at all.  Two classes of code
-break silently under that model:
-
-* **module-global mutation from job-reachable code** — a function the
-  job entry points reach that writes a module-level variable (via
-  ``global`` or by mutating a module-level container) is writing
-  per-process state: invisible to the parent and to other workers, and
-  a divergence between ``--jobs 1`` and ``--jobs N`` runs.  Import-time
-  registry population is fine — it re-runs identically in every
-  worker; it is *runtime* mutation that desynchronizes.
-* **non-importable runners** — a lambda or nested closure registered
-  as an experiment runner cannot be found by the worker's re-import;
-  only module-level functions are safe to register.
-
-The service layer (PR 6) added a third boundary: **handler and manager
-threads**.  ``http.server`` handler methods (``do_GET`` and friends on a
+``http.server`` handler methods (``do_GET`` and friends on a
 ``BaseHTTPRequestHandler`` subclass) and any function handed to
-``threading.Thread(target=...)`` run concurrently inside one process, so
-module-global mutation reachable from them is a data race, not just a
-divergence — shared state must live on an instance behind a lock (the
+``threading.Thread(target=...)`` run concurrently inside one process,
+so a module-level variable written from code they reach is a data race:
+shared state must live on an instance behind a lock (the
 :class:`~repro.service.jobs.JobManager` pattern).  The rule finds those
-thread entry points and applies the same reachability analysis with a
-thread-flavored message.
+thread entry points and flags every write to module state reachable
+from them — a ``global`` rebinding, an in-place container method, or a
+subscript store into a module-level container.  The lockset rule
+covers instance attributes; this one covers module globals.
 """
 
 from __future__ import annotations
@@ -34,7 +19,6 @@ from typing import Iterable, List, Set
 
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph
-from repro.lint.flow.effects import find_job_entry_points
 from repro.lint.flow.program import (
     FunctionInfo,
     ModuleInfo,
@@ -154,7 +138,11 @@ def _call_name(module: ModuleInfo, node: ast.Call) -> str:
 
 
 def _local_bindings(info: FunctionInfo) -> Set[str]:
-    """Names bound locally (params, assignments, loop targets, withitems)."""
+    """Names bound locally (params, assignments, loop targets, withitems).
+
+    Only names in store context bind: in ``TABLE[key] = v`` the
+    container ``TABLE`` is *read*, so it stays the module global.
+    """
     bound = set(info.param_names())
     for node in function_statements(info.node):
         targets: List[ast.expr] = []
@@ -168,7 +156,9 @@ def _local_bindings(info: FunctionInfo) -> Set[str]:
             targets = [node.optional_vars]
         for target in targets:
             for child in ast.walk(target):
-                if isinstance(child, ast.Name):
+                if isinstance(child, ast.Name) and isinstance(
+                    child.ctx, ast.Store
+                ):
                     bound.add(child.id)
     return bound
 
@@ -177,107 +167,33 @@ def _local_bindings(info: FunctionInfo) -> Set[str]:
 class DeepWorkerSafety(FlowRule):
     name = "deep-worker-safety"
     summary = (
-        "module-global mutation or non-importable runners in code the "
-        "process-pool executor runs inside workers"
+        "module-global mutation reachable from HTTP handler methods or "
+        "threading.Thread targets"
     )
     invariant = (
-        "a job behaves identically under --jobs 1 and --jobs N because "
-        "nothing it runs depends on or mutates per-process state"
+        "code running on handler and manager threads shares no mutable "
+        "module state; shared state lives on an instance behind a lock"
     )
 
     def check(self, graph: CallGraph) -> Iterable[Finding]:
         program = graph.program
-        entries = find_job_entry_points(program)
-        yield from self._check_runner_shape(program)
-        reachable = reachable_from(graph, [qname for qname, _ in entries])
-        flagged: Set[str] = set()
+        reachable = reachable_from(graph, find_thread_entry_points(program))
         for qname in sorted(reachable):
             info = program.functions.get(qname)
-            if info is None:
-                continue
-            for found in self._check_global_mutation(program, info):
-                flagged.add(f"{found.path}:{found.line}")
-                yield found
-        # Handler/manager threads: same mutation hazard, one process —
-        # a write that races instead of silently diverging.  Locations
-        # already flagged through the job entry points stay single.
-        thread_reachable = reachable_from(
-            graph, find_thread_entry_points(program)
-        )
-        for qname in sorted(thread_reachable):
-            info = program.functions.get(qname)
-            if info is None:
-                continue
-            for found in self._check_global_mutation(
-                program, info, via_threads=True
-            ):
-                if f"{found.path}:{found.line}" not in flagged:
-                    yield found
-
-    def _check_runner_shape(self, program: Program) -> Iterable[Finding]:
-        """Registered runners must be module-level defs."""
-        for module in program.modules.values():
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = None
-                if isinstance(node.func, ast.Name):
-                    callee = program.resolve_in_module(
-                        module, node.func.id
-                    )
-                if not callee or not callee.endswith(
-                    ".register_experiment"
-                ):
-                    continue
-                if len(node.args) < 2:
-                    continue
-                runner = node.args[1]
-                if isinstance(runner, ast.Lambda):
-                    yield self.finding(
-                        module.path, runner.lineno, runner.col_offset,
-                        "lambda registered as an experiment runner; "
-                        "workers re-import runners by name — register "
-                        "a module-level function",
-                    )
-                elif isinstance(runner, ast.Name):
-                    resolved = program.resolve_in_module(
-                        module, runner.id
-                    )
-                    info = program.functions.get(resolved or "")
-                    if info is not None and info.parent:
-                        yield self.finding(
-                            module.path, node.lineno, node.col_offset,
-                            f"nested function '{info.name}' registered "
-                            "as an experiment runner; workers re-import "
-                            "runners by name — move it to module level",
-                        )
+            if info is not None:
+                yield from self._check_global_mutation(program, info)
 
     def _check_global_mutation(
-        self,
-        program: Program,
-        info: FunctionInfo,
-        via_threads: bool = False,
+        self, program: Program, info: FunctionInfo
     ) -> Iterable[Finding]:
         module = program.module_of(info)
         path = module.path
         node = info.node
-        if via_threads:
-            prefix = f"thread-reachable '{info.name}'"
-            rebind_tail = (
-                "handler threads race on module state — keep it on "
-                "an instance behind a lock"
-            )
-            mutate_tail = rebind_tail
-        else:
-            prefix = f"job-reachable '{info.name}'"
-            rebind_tail = (
-                "worker state never reaches the parent — return the "
-                "value instead"
-            )
-            mutate_tail = (
-                "per-worker mutation diverges between --jobs 1 and "
-                "--jobs N — pass state through the JobSpec or return it"
-            )
+        prefix = f"thread-reachable '{info.name}'"
+        tail = (
+            "handler threads race on module state — keep it on an "
+            "instance behind a lock"
+        )
         declared_global: Set[str] = set()
         for child in function_statements(node):
             if isinstance(child, ast.Global):
@@ -298,7 +214,7 @@ class DeepWorkerSafety(FlowRule):
                             yield self.finding(
                                 path, child.lineno, child.col_offset,
                                 f"{prefix} rebinds module global "
-                                f"'{target.id}'; {rebind_tail}",
+                                f"'{target.id}'; {tail}",
                             )
         locals_bound = _local_bindings(info) - declared_global
         module_globals = set(module.assigns)
@@ -333,7 +249,7 @@ class DeepWorkerSafety(FlowRule):
                 yield self.finding(
                     path, child.lineno, child.col_offset,
                     f"{prefix} mutates module-level '{name}' ({what}); "
-                    f"{mutate_tail}",
+                    f"{tail}",
                 )
 
 

@@ -3,8 +3,8 @@
 A :class:`FlowRule` checks one whole-program invariant over a built
 :class:`~repro.lint.flow.callgraph.CallGraph` instead of one file.  It
 emits the same :class:`~repro.lint.findings.Finding` objects, so
-suppression comments, the text/JSON reporters, baselines and CI gating
-all work unchanged — the only difference is *what* a rule can see.
+suppression comments, the text/JSON reporters and CI gating all work
+unchanged — the only difference is *what* a rule can see.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from repro.lint.flow.callgraph import CallGraph
 #: rendering branch.
 ENGINE_SECTIONS: Tuple[Tuple[str, str], ...] = (
     ("ast", "per-file AST rules"),
-    ("flow", "call-graph rules [deep]"),
-    ("concurrency", "lockset/order/blocking rules [deep]"),
+    ("concurrency", "lockset/order/blocking/thread-state rules [deep]"),
 )
 
 
@@ -32,11 +31,9 @@ class FlowRule:
     name: str = ""
     summary: str = ""
     invariant: str = ""
-    #: Which analysis engine the rule runs on: "flow" for the
-    #: call-graph analyses, "concurrency" for the lockset/order/
-    #: blocking suite (``--list-rules`` groups by this, via
-    #: ``ENGINE_SECTIONS``).
-    engine: str = "flow"
+    #: Which analysis engine the rule runs on (``--list-rules`` groups
+    #: by this, via ``ENGINE_SECTIONS``).
+    engine: str = "concurrency"
 
     def check(self, graph: CallGraph) -> Iterable[Finding]:
         raise NotImplementedError
@@ -64,11 +61,11 @@ def register_flow_rule(cls: Type[FlowRule]) -> Type[FlowRule]:
 
 def all_flow_rules() -> List[FlowRule]:
     """Every registered deep rule, by name (registers on import)."""
-    from repro.lint.flow import effects, taint, units, worker  # noqa: F401
     from repro.lint.flow.concurrency import (  # noqa: F401
         blocking,
         order,
         races,
+        worker,
     )
 
     return [FLOW_REGISTRY[name] for name in sorted(FLOW_REGISTRY)]

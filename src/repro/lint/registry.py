@@ -30,7 +30,7 @@ class Rule:
     summary: str = ""
     invariant: str = ""
     #: Per-file rules all run on the AST engine; ``--list-rules``
-    #: groups output by this label (ast / flow / concurrency).
+    #: groups output by this label (ast / concurrency).
     engine: str = "ast"
 
     def applies(self, context: FileContext) -> bool:

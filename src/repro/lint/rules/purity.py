@@ -21,12 +21,15 @@ from repro.lint.context import FileContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register_rule
 
-#: Packages whose sources are folded into job cache keys (the union of
-#: every experiment's fingerprinted dependency list in harness/jobs.py).
+#: Packages and modules whose sources are folded into job cache keys:
+#: the union of every experiment's fingerprinted dependency list in
+#: harness/jobs.py, which lists itself (``selftest``) and hosts the
+#: runners.
 _FINGERPRINTED = (
     "core", "sim", "routing", "topology", "traffic",
     "experiments", "faults", "igp", "bgp",
 )
+_FINGERPRINTED_FILES = ("harness/jobs.py",)
 
 _READ_METHODS = frozenset({"read_text", "read_bytes"})
 
@@ -61,7 +64,10 @@ class CacheKeyPurity(Rule):
     )
 
     def applies(self, context: FileContext) -> bool:
-        return context.in_package(*_FINGERPRINTED) and not context.is_test
+        return not context.is_test and (
+            context.in_package(*_FINGERPRINTED)
+            or context.is_repro_file(*_FINGERPRINTED_FILES)
+        )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
         for node in ast.walk(context.tree):

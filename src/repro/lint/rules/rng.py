@@ -5,7 +5,9 @@ global state: two call sites interleave differently when code moves,
 and reruns of "the same" experiment stop being byte-identical.  The
 sanctioned pattern everywhere in this repository is a
 ``random.Random(seed)`` (or ``numpy.random.default_rng(seed)``)
-constructed from an explicit seed and passed down.
+constructed from an explicit seed and passed down.  Constructing one
+with no seed, or a literal ``None``, seeds it from OS entropy instead,
+so that is flagged too.
 """
 
 from __future__ import annotations
@@ -32,13 +34,27 @@ _ALLOWED_NUMPY = frozenset({
     "Generator", "RandomState", "SeedSequence", "default_rng",
 })
 
+#: Generator constructors that fall back to OS entropy without a seed.
+_SEEDED_CONSTRUCTORS = frozenset({
+    "random.Random", "numpy.random.default_rng", "numpy.random.RandomState",
+})
+
+
+def _unseeded(node: ast.Call) -> bool:
+    """No seed argument at all, or only literal ``None``s."""
+    values = list(node.args) + [keyword.value for keyword in node.keywords]
+    return all(
+        isinstance(value, ast.Constant) and value.value is None
+        for value in values
+    )
+
 
 @register_rule
 class NoUnseededRng(Rule):
     name = "no-unseeded-rng"
     summary = (
-        "bare random.* / numpy.random.* module calls instead of an "
-        "injected Random(seed)"
+        "bare random.* / numpy.random.* module calls, or a generator "
+        "built without a seed, instead of an injected Random(seed)"
     )
     invariant = (
         "every random draw is attributable to an explicit seed, so any "
@@ -52,6 +68,12 @@ class NoUnseededRng(Rule):
             dotted = context.resolve(node.func)
             if dotted is None:
                 continue
+            if dotted in _SEEDED_CONSTRUCTORS and _unseeded(node):
+                yield self.finding(
+                    context, node.lineno, node.col_offset,
+                    f"'{dotted}' built without a seed draws from OS "
+                    "entropy; pass an explicit seed",
+                )
             parts = dotted.split(".")
             if parts[0] == "random" and len(parts) == 2:
                 if parts[1] in _BANNED_RANDOM:

@@ -1,12 +1,14 @@
-"""no-wallclock: simulation and harness code may not read real time.
+"""no-wallclock: package code may not read real time directly.
 
-Simulated time is the only time that exists inside ``sim``, ``routing``,
-``faults`` and ``topology`` — a wall-clock read there either leaks into
-results (breaking byte-identical reruns) or silently couples behavior to
-machine speed.  Harness code *does* need wall time (manifests, cache
-timestamps, job timing), so every read there flows through the single
-injectable source in ``repro/harness/clock.py`` — the one file this rule
-allowlists — keeping tests independent of real time.
+Simulated time is the only time that exists inside the simulators and
+the code they call — a wall-clock read there either leaks into results
+(breaking byte-identical reruns) or silently couples behavior to
+machine speed.  Harness, service and report code *does* need wall time
+(manifests, cache timestamps, job and artifact timing), so every read
+in the ``repro`` package flows through the single injectable source in
+``repro/harness/clock.py`` — the one file this rule allowlists — keeping
+tests independent of real time and leaving no module where a clock read
+can slip into a seed or a result unnoticed.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ _BANNED_CALLS = frozenset({
     "datetime.date.today",
 })
 
-_SCOPED_PACKAGES = (
-    "sim", "routing", "faults", "topology", "harness", "service",
-)
-
 #: The one sanctioned wall-clock reader (see module docstring).
 _ALLOWLIST = ("harness/clock.py",)
 
@@ -47,8 +45,8 @@ _ALLOWLIST = ("harness/clock.py",)
 class NoWallclock(Rule):
     name = "no-wallclock"
     summary = (
-        "wall-clock reads (time.time, perf_counter, datetime.now) in "
-        "sim/routing/faults/topology/harness code"
+        "wall-clock reads (time.time, perf_counter, datetime.now) "
+        "anywhere in the repro package outside harness/clock.py"
     )
     invariant = (
         "simulator output depends only on (inputs, seed); harness time "
@@ -57,7 +55,7 @@ class NoWallclock(Rule):
 
     def applies(self, context: FileContext) -> bool:
         return (
-            context.in_package(*_SCOPED_PACKAGES)
+            bool(context.repro_subpath)
             and not context.is_repro_file(*_ALLOWLIST)
             and not context.is_test
         )

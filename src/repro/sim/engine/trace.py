@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 LinkKey = Tuple[Any, ...]
 
 
-def perf_now() -> float:  # repro-effect: allow=reads-clock
+def perf_now() -> float:
     """Monotonic seconds from the injectable harness clock.
 
     Imported lazily: ``repro.harness``'s package init pulls in the
@@ -87,7 +87,7 @@ class SimTrace:
         self.timers[phase] = self.timers.get(phase, 0.0) + seconds
 
     @contextlib.contextmanager
-    def phase(self, name: str) -> Iterator[None]:  # repro-effect: allow=reads-clock
+    def phase(self, name: str) -> Iterator[None]:
         """Time a block against the ``name`` phase via the harness clock."""
         started = perf_now()
         try:

@@ -15,6 +15,7 @@ from repro.lint.flow.concurrency.blocking import (
     WAITS_NETWORK,
     classify_external,
     classify_unresolved,
+    collect_effect_allowances,
 )
 
 from tests.lint.flow.util import build_fixture_graph
@@ -66,6 +67,22 @@ class TestClassifiers:
         assert classify_unresolved("self.wfile.write") == WAITS_NETWORK
         assert classify_unresolved("self.rfile.read") == WAITS_NETWORK
         assert classify_unresolved("self.jobs.append") is None
+
+
+class TestAllowanceParsing:
+    def test_collects_effects_by_line(self):
+        source = (
+            "def a():  # repro-effect: allow=sleeps\n"
+            "    pass\n"
+            "\n"
+            "def b():  # repro-effect: allow=joins-process, long-polls\n"
+            "    pass\n"
+        )
+        allowances = collect_effect_allowances(source)
+        assert allowances == {
+            1: {"sleeps"},
+            4: {"joins-process", "long-polls"},
+        }
 
 
 class TestBlockingAnalysis:

@@ -7,11 +7,14 @@ import pathlib
 from repro.lint.flow import deep_lint_paths
 
 BAD_WORK = (
-    "import random\n"
+    "from http.server import BaseHTTPRequestHandler\n"
+    "\n"
+    "HITS = []\n"
     "\n"
     "\n"
-    "def make():\n"
-    "    return random.Random()\n"
+    "class Handler(BaseHTTPRequestHandler):\n"
+    "    def do_GET(self):\n"
+    "        HITS.append(self.path)\n"
 )
 
 
@@ -29,7 +32,7 @@ class TestDeepLintPaths:
         monkeypatch.chdir(tmp_path)
         findings, stats = deep_lint_paths(["src"])
         assert len(findings) == 1
-        assert findings[0].rule == "deep-seed-provenance"
+        assert findings[0].rule == "deep-worker-safety"
         assert findings[0].path == str(
             pathlib.Path("src") / "repro" / "work.py"
         )
@@ -39,9 +42,9 @@ class TestDeepLintPaths:
         _write_package(
             tmp_path,
             BAD_WORK.replace(
-                "return random.Random()",
-                "return random.Random()"
-                "  # repro-lint: disable=deep-seed-provenance",
+                "HITS.append(self.path)",
+                "HITS.append(self.path)"
+                "  # repro-lint: disable=deep-worker-safety",
             ),
         )
         monkeypatch.chdir(tmp_path)
@@ -52,7 +55,7 @@ class TestDeepLintPaths:
         _write_package(tmp_path, BAD_WORK)
         monkeypatch.chdir(tmp_path)
         findings, _ = deep_lint_paths(
-            ["src"], rule_names=["deep-unit-consistency"]
+            ["src"], rule_names=["deep-lock-order"]
         )
         assert findings == []
 
@@ -61,11 +64,7 @@ class TestDeepLintPaths:
         reported — the changed-files pre-commit contract."""
         root = _write_package(tmp_path, BAD_WORK)
         (root / "other.py").write_text(
-            "import random\n"
-            "\n"
-            "\n"
-            "def other():\n"
-            "    return random.Random()\n"
+            BAD_WORK.replace("class Handler", "class OtherHandler")
         )
         monkeypatch.chdir(tmp_path)
         findings, _ = deep_lint_paths([str(root / "other.py")])

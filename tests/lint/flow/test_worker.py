@@ -1,8 +1,9 @@
-"""Worker-safety checks on fixture packages."""
+"""deep-worker-safety on fixture packages: thread entry points and the
+module state reachable from them."""
 
 from __future__ import annotations
 
-from repro.lint.flow.worker import (
+from repro.lint.flow.concurrency.worker import (
     DeepWorkerSafety,
     find_thread_entry_points,
     reachable_from,
@@ -10,27 +11,29 @@ from repro.lint.flow.worker import (
 
 from tests.lint.flow.util import build_fixture_graph, build_fixture_program
 
-REGISTRY = (
-    "def register_experiment(name, run, deps):\n"
-    "    return (name, run, deps)\n"
-)
-
 
 def _check(tmp_path, files, package="wpkg"):
     _, graph = build_fixture_graph(tmp_path, files, package)
     return list(DeepWorkerSafety().check(graph))
 
 
+def _handler(body):
+    """An HTTP handler module whose do_GET runs ``body`` (one line)."""
+    return (
+        "from http.server import BaseHTTPRequestHandler\n"
+        "\n"
+        "\n"
+        "class Handler(BaseHTTPRequestHandler):\n"
+        "    def do_GET(self):\n"
+        f"        {body}\n"
+    )
+
+
 class TestGlobalMutation:
     FIXTURE = {
-        "registry.py": REGISTRY,
         "work.py": (
             "RESULTS = []\n"
             "COUNTER = 0\n"
-            "\n"
-            "\n"
-            "def run_job(spec):\n"
-            "    return accumulate(spec)\n"
             "\n"
             "\n"
             "def accumulate(spec):\n"
@@ -44,11 +47,9 @@ class TestGlobalMutation:
             "    RESULTS.append(spec)\n"
             "    return spec\n"
         ),
-        "jobs.py": (
-            "from wpkg.registry import register_experiment\n"
-            "from wpkg.work import run_job\n"
-            "\n"
-            "register_experiment('job', run_job, ())\n"
+        "api.py": (
+            "from wpkg.work import accumulate\n"
+            + _handler("accumulate(self.path)")
         ),
     }
 
@@ -63,82 +64,59 @@ class TestGlobalMutation:
         assert len(findings) == 2
 
     def test_unreachable_mutation_not_flagged(self, tmp_path):
-        """`untouched` also appends to RESULTS but no job reaches it."""
+        """`untouched` also appends to RESULTS but no thread reaches it."""
         findings = _check(tmp_path, self.FIXTURE)
         lines = {f.line for f in findings}
-        assert all(line < 16 for line in lines)
+        assert all(line < 12 for line in lines)
 
     def test_local_shadow_not_flagged(self, tmp_path):
         assert _check(tmp_path, {
-            "registry.py": REGISTRY,
             "work.py": (
                 "RESULTS = []\n"
                 "\n"
                 "\n"
-                "def run_job(spec):\n"
+                "def collect(spec):\n"
                 "    RESULTS = list()\n"
                 "    RESULTS.append(spec)\n"
                 "    return RESULTS\n"
             ),
-            "jobs.py": (
-                "from wpkg.registry import register_experiment\n"
-                "from wpkg.work import run_job\n"
-                "\n"
-                "register_experiment('job', run_job, ())\n"
+            "api.py": (
+                "from wpkg.work import collect\n"
+                + _handler("collect(self.path)")
             ),
         }) == []
 
     def test_import_time_registration_not_flagged(self, tmp_path):
-        """Module-level registry population re-runs identically in every
-        worker; only runtime mutation desynchronizes."""
+        """Module-level registry population runs once at import, before
+        any thread starts; only runtime mutation races."""
         assert _check(tmp_path, {
-            "registry.py": REGISTRY,
             "work.py": (
                 "TABLE = {}\n"
                 "\n"
                 "\n"
-                "def run_job(spec):\n"
-                "    return spec\n"
+                "def lookup(key):\n"
+                "    return TABLE.get(key)\n"
                 "\n"
                 "\n"
-                "TABLE['job'] = run_job\n"
+                "TABLE['job'] = lookup\n"
             ),
-            "jobs.py": (
-                "from wpkg.registry import register_experiment\n"
-                "from wpkg.work import run_job\n"
-                "\n"
-                "register_experiment('job', run_job, ())\n"
+            "api.py": (
+                "from wpkg.work import lookup\n"
+                + _handler("lookup(self.path)")
             ),
         }) == []
 
-
-class TestRunnerShape:
-    def test_lambda_runner_flagged(self, tmp_path):
+    def test_subscript_store_into_module_dict_flagged(self, tmp_path):
+        """``TABLE[key] = v`` reads the module-level TABLE; the store
+        does not make TABLE a local."""
         findings = _check(tmp_path, {
-            "registry.py": REGISTRY,
-            "jobs.py": (
-                "from wpkg.registry import register_experiment\n"
-                "\n"
-                "register_experiment('bad', lambda spec: spec, ())\n"
-            ),
+            "api.py": "HITS = {}\n\n" + _handler("HITS[self.path] = 1"),
         })
         assert len(findings) == 1
-        assert "lambda registered" in findings[0].message
-
-    def test_module_level_runner_ok(self, tmp_path):
-        assert _check(tmp_path, {
-            "registry.py": REGISTRY,
-            "jobs.py": (
-                "from wpkg.registry import register_experiment\n"
-                "\n"
-                "\n"
-                "def run_job(spec):\n"
-                "    return spec\n"
-                "\n"
-                "\n"
-                "register_experiment('ok', run_job, ())\n"
-            ),
-        }) == []
+        assert (
+            "mutates module-level 'HITS' ([...] assignment)"
+            in findings[0].message
+        )
 
 
 class TestThreadEntryPoints:
@@ -234,34 +212,6 @@ class TestThreadEntryPoints:
         assert "thread-reachable 'record'" in message
         assert "mutates module-level 'HITS' (.append())" in message
         assert "behind a lock" in message
-
-    def test_job_flavor_wins_on_shared_reachability(self, tmp_path):
-        """Code both job- and thread-reachable is flagged once, with the
-        worker-boundary message (the stricter contract)."""
-        findings = _check(tmp_path, {
-            "registry.py": REGISTRY,
-            "work.py": (
-                "RESULTS = []\n"
-                "\n"
-                "\n"
-                "def run_job(spec):\n"
-                "    RESULTS.append(spec)\n"
-                "    return spec\n"
-            ),
-            "jobs.py": (
-                "import threading\n"
-                "from wpkg.registry import register_experiment\n"
-                "from wpkg.work import run_job\n"
-                "\n"
-                "register_experiment('job', run_job, ())\n"
-                "\n"
-                "\n"
-                "def serve():\n"
-                "    threading.Thread(target=run_job).start()\n"
-            ),
-        })
-        assert len(findings) == 1
-        assert "job-reachable 'run_job'" in findings[0].message
 
     def test_instance_state_not_flagged(self, tmp_path):
         """Mutating self-owned state under a lock is the sanctioned

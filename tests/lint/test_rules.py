@@ -120,6 +120,46 @@ FIXTURES = [
             "    return scale\n"
         ),
     ),
+    (
+        "cache-key-purity",
+        "src/repro/harness/jobs.py",
+        (
+            "import os\n"
+            "\n"
+            "def _run_job(spec):\n"
+            "    return float(os.environ['UTILIZATION'])\n"
+        ),
+    ),
+    (
+        "no-unseeded-rng",
+        "src/repro/topology/fixture.py",
+        (
+            "import random\n"
+            "\n"
+            "def build(n):\n"
+            "    return random.Random().sample(range(n), n)\n"
+        ),
+    ),
+    (
+        "no-unseeded-rng",
+        "src/repro/traffic/fixture.py",
+        (
+            "import numpy as np\n"
+            "\n"
+            "def draw():\n"
+            "    return np.random.RandomState(seed=None)\n"
+        ),
+    ),
+    (
+        "no-wallclock",
+        "src/repro/traffic/fixture.py",
+        (
+            "import time\n"
+            "\n"
+            "def skewed(seed):\n"
+            "    return seed + int(time.time())\n"
+        ),
+    ),
 ]
 
 _IDS = [f"{rule}-{i}" for i, (rule, _, _) in enumerate(FIXTURES)]

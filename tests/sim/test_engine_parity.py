@@ -11,12 +11,12 @@ experiment cells.
 
 Equality with an older copy shows "same as before", not "right", so
 every allocator solve these tests run is also certified max-min fair
-on its own (:func:`assert_max_min_fair`).
+on its own (:func:`~tests.sim.certificate.assert_max_min_fair`, applied
+to every ``tests/sim`` solve by ``tests/sim/conftest.py``).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.units import transfer_seconds
@@ -44,6 +44,7 @@ from repro.traffic import (
     uniform,
 )
 
+from tests.sim.certificate import assert_max_min_fair
 from tests.sim.legacy_reference import (
     LegacyFlowSimulator,
     legacy_commodity_throughput,
@@ -59,58 +60,6 @@ SCHEMES = {
     "vlb": VlbRouting,
     "adaptive": CoarseAdaptiveRouting,
 }
-
-
-#: Relative slack for the certificate's load-vs-capacity comparisons: the
-#: loads are sums of levels, the solver's saturation test a subtraction
-#: chain, so the two agree only up to rounding.
-CERTIFICATE_RTOL = 1e-9
-
-
-def assert_max_min_fair(ent, lnk, val, caps, active, levels):
-    """Certify an allocation max-min fair by its bottleneck links.
-
-    An allocation is max-min fair iff it is feasible and every active
-    entity crosses a saturated link on which its level is the largest
-    (Bertsekas & Gallager, *Data Networks* §6.5).  ``ent``/``lnk``/``val``
-    is the incidence the solver saw, ``active`` its entity mask, and
-    ``levels`` the level per entity id.  O(incidence), vectorised.
-    """
-    on = active[ent]
-    ent, lnk, val = ent[on], lnk[on], val[on]
-    level = levels[ent]
-    load = np.bincount(lnk, weights=val * level, minlength=len(caps))
-    over = np.flatnonzero(load > caps * (1 + CERTIFICATE_RTOL))
-    assert over.size == 0, (
-        f"links {over[:8].tolist()} loaded past capacity: "
-        f"load={load[over[:8]].tolist()} cap={caps[over[:8]].tolist()}"
-    )
-    saturated = load >= caps * (1 - CERTIFICATE_RTOL)
-    top = np.full(len(caps), -np.inf)
-    np.maximum.at(top, lnk, level)
-    bottlenecked = saturated[lnk] & (level >= top[lnk])
-    has_bottleneck = np.zeros(len(active), dtype=bool)
-    has_bottleneck[ent[bottlenecked]] = True
-    missing = np.flatnonzero(active & ~has_bottleneck)
-    assert missing.size == 0, (
-        f"entities {missing[:8].tolist()} have no bottleneck link: "
-        f"levels={levels[missing[:8]].tolist()}"
-    )
-
-
-@pytest.fixture(autouse=True)
-def certified_solves(monkeypatch):
-    """Certify every allocation the engine's allocator returns."""
-    solve = WarmFill.solve
-
-    def certified(self, ent, lnk, val, active, link_refs, scratch):
-        levels, iterations = solve(
-            self, ent, lnk, val, active, link_refs, scratch
-        )
-        assert_max_min_fair(ent, lnk, val, self.caps, active, levels)
-        return levels, iterations
-
-    monkeypatch.setattr(WarmFill, "solve", certified)
 
 
 def assert_identical_results(engine, legacy):
