@@ -146,22 +146,13 @@ class BgpFabric:
         """
         if self._report is None:
             raise RuntimeError("converge() must run before failing links")
-        digraph = self.vrf_graph.digraph
-        dead_sessions = [
-            (a, b)
-            for a, b in digraph.edges
-            if {a[1], b[1]} == {u, v}
-        ]
-        if not dead_sessions:
-            raise ValueError(f"no virtual connections ride link ({u}, {v})")
+        dead_sessions = self.vrf_graph.remove_link(u, v)
         # Also remove the physical link from the network view so the
         # data plane and any re-derived VrfGraph agree.
         if self.network.graph.has_edge(u, v):
             self.network.remove_link(
                 u, v, count=self.network.link_mult(u, v)
             )
-        digraph.remove_edges_from(dead_sessions)
-        self.vrf_graph._dist_cache.clear()
 
         pending: Set[Tuple[VrfNode, int]] = set()
         for receiver_node, sender_node in dead_sessions:
@@ -199,14 +190,7 @@ class BgpFabric:
         if u not in self.network.graph or v not in self.network.graph:
             raise ValueError("both endpoints must already be switches")
         self.network.add_link(u, v, count=mult)
-        before = set(self.vrf_graph.digraph.edges)
-        for a, b in ((u, v), (v, u)):
-            self.vrf_graph._add_link_rules(a, b, float(mult))
-        self.vrf_graph._dist_cache.clear()
-        new_sessions = [
-            (a, b) for a, b in self.vrf_graph.digraph.edges
-            if (a, b) not in before
-        ]
+        new_sessions = self.vrf_graph.add_link(u, v, float(mult))
         # Session establishment: the learnable side sends its full table.
         pending: Set[Tuple[VrfNode, int]] = set()
         for _receiver, sender_node in new_sessions:

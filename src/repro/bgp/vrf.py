@@ -23,18 +23,91 @@ Every physical path admits exactly one minimum-cost VRF representation
 (enter at level ``K - P + 1`` for a P-hop path with P ≤ K, or enter at
 level 1, cruise, then climb the final K-1 hops for P ≥ K), so per-hop
 ECMP over the VRF graph induces a well-defined split over physical paths.
+
+The networkx digraph is the source of truth (BGP, config generation and
+``bgp.verify`` read it), but distances and next hops are answered from
+arrays: the first query lowers the digraph to CSR edge arrays, each
+destination gets one integer distance vector from a vectorised
+Bellman-Ford relaxation, and a node's ECMP set is the mask
+``cost + dist[succ] == dist[node]`` over its CSR row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.core.network import Network
 
 #: A node of the VRF graph: (level, switch), levels 1..K.
 VrfNode = Tuple[int, int]
+
+#: A directed VRF edge, i.e. one BGP session: (from, to) in forwarding
+#: order, so routes are advertised from ``to`` back to ``from``.
+Session = Tuple[VrfNode, VrfNode]
+
+#: Distance of a VRF node with no path to the destination; far enough
+#: below the int64 limit that adding an edge cost cannot overflow.
+_UNREACHABLE = np.iinfo(np.int64).max // 2
+
+
+class _EdgeArrays:
+    """The VRF digraph's edges in CSR form, one row per node.
+
+    Row ``i`` holds edges ``bounds[i]:bounds[i + 1]`` in
+    ``digraph.adj[nodes[i]]`` order.  ``succ`` and ``cost`` are the
+    arrays the relaxation and the row mask read; ``targets`` and
+    ``mult`` are the same edges' successor nodes and weights exactly as
+    the digraph stores them.
+    """
+
+    __slots__ = (
+        "nodes", "index", "bounds", "targets", "mult", "succ", "cost",
+        "rows", "starts",
+    )
+
+    def __init__(self, digraph: nx.DiGraph) -> None:
+        self.nodes: List[VrfNode] = list(digraph.nodes)
+        self.index: Dict[VrfNode, int] = {
+            node: i for i, node in enumerate(self.nodes)
+        }
+        self.bounds: List[int] = [0]
+        self.targets: List[VrfNode] = []
+        self.mult: List[float] = []
+        cost: List[int] = []
+        for node in self.nodes:
+            for target, data in digraph.adj[node].items():
+                self.targets.append(target)
+                self.mult.append(data["mult"])
+                cost.append(data["cost"])
+            self.bounds.append(len(self.targets))
+        self.succ = np.array(
+            [self.index[target] for target in self.targets], dtype=np.int64
+        )
+        self.cost = np.array(cost, dtype=np.int64)
+        bounds = np.array(self.bounds, dtype=np.int64)
+        # reduceat needs strictly increasing starts: the non-empty rows.
+        self.rows = np.flatnonzero(bounds[1:] > bounds[:-1])
+        self.starts = bounds[self.rows]
+
+    def distances(self, target: int) -> np.ndarray:
+        """Min cost from every node to node ``target`` (Bellman-Ford).
+
+        Each pass lowers every non-empty row to its best
+        ``cost + dist[succ]``.  Costs are positive, so the first pass
+        that lowers nothing leaves the exact distances; nodes that cannot
+        reach ``target`` keep ``_UNREACHABLE``.
+        """
+        dist = np.full(len(self.nodes), _UNREACHABLE, dtype=np.int64)
+        dist[target] = 0
+        while True:
+            best = np.minimum.reduceat(self.cost + dist[self.succ], self.starts)
+            lower = best < dist[self.rows]
+            if not lower.any():
+                return dist
+            dist[self.rows[lower]] = best[lower]
 
 
 class VrfGraph:
@@ -47,8 +120,11 @@ class VrfGraph:
         self.k = k
         self.digraph = nx.DiGraph()
         self._build()
-        # Cache: destination switch -> {vrf node -> distance to host node}.
-        self._dist_cache: Dict[int, Dict[VrfNode, float]] = {}
+        # Built by the first distance or next-hop query, dropped by every
+        # link mutation: the edge arrays, and one distance vector per
+        # destination switch.
+        self._arrays: Optional[_EdgeArrays] = None
+        self._dist: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -86,6 +162,41 @@ class VrfGraph:
             self.digraph.add_edge(a, b, cost=cost, mult=mult)
 
     # ------------------------------------------------------------------
+    # Link mutations (the incremental control plane's entry points)
+    # ------------------------------------------------------------------
+
+    def remove_link(self, u: int, v: int) -> List[Session]:
+        """Tear down every virtual connection riding physical link (u, v).
+
+        Removes both directions at every level and returns the removed
+        edges, the dead sessions, in ``digraph.edges`` order.
+        """
+        dead = [
+            (a, b) for a, b in self.digraph.edges if {a[1], b[1]} == {u, v}
+        ]
+        if not dead:
+            raise ValueError(f"no virtual connections ride link ({u}, {v})")
+        self.digraph.remove_edges_from(dead)
+        self._drop_tables()
+        return dead
+
+    def add_link(self, u: int, v: int, mult: float) -> List[Session]:
+        """Create the virtual connections of physical link (u, v).
+
+        Returns the edges that did not exist before, the new sessions,
+        in ``digraph.edges`` order.
+        """
+        before = set(self.digraph.edges)
+        for a, b in ((u, v), (v, u)):
+            self._add_link_rules(a, b, mult)
+        self._drop_tables()
+        return [edge for edge in self.digraph.edges if edge not in before]
+
+    def _drop_tables(self) -> None:
+        self._arrays = None
+        self._dist.clear()
+
+    # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
 
@@ -105,26 +216,41 @@ class VrfGraph:
     # Shortest-path machinery
     # ------------------------------------------------------------------
 
-    def distances_to(self, dst_switch: int) -> Dict[VrfNode, float]:
-        """Min cost from every VRF node to the host node of ``dst_switch``.
+    def _edge_arrays(self) -> _EdgeArrays:
+        if self._arrays is None:
+            self._arrays = _EdgeArrays(self.digraph)
+        return self._arrays
 
-        Computed by one Dijkstra on the reversed VRF graph and cached.
+    def _distances(self, dst_switch: int) -> np.ndarray:
+        """The distance vector toward ``dst_switch``'s host node, cached."""
+        dist = self._dist.get(dst_switch)
+        if dist is None:
+            arrays = self._edge_arrays()
+            target = arrays.index.get(self.host_node(dst_switch))
+            if target is None:
+                raise ValueError(f"unknown switch {dst_switch}")
+            dist = self._dist[dst_switch] = arrays.distances(target)
+        return dist
+
+    def distances_to(self, dst_switch: int) -> Dict[VrfNode, int]:
+        """Min cost to the host node of ``dst_switch``, per VRF node.
+
+        Nodes that cannot reach it are left out.
         """
-        if dst_switch not in self._dist_cache:
-            target = self.host_node(dst_switch)
-            reversed_view = self.digraph.reverse(copy=False)
-            self._dist_cache[dst_switch] = nx.single_source_dijkstra_path_length(
-                reversed_view, target, weight="cost"
-            )
-        return self._dist_cache[dst_switch]
+        dist = self._distances(dst_switch).tolist()
+        return {
+            node: cost
+            for node, cost in zip(self._edge_arrays().nodes, dist)
+            if cost < _UNREACHABLE
+        }
 
-    def distance(self, src_switch: int, dst_switch: int) -> float:
+    def distance(self, src_switch: int, dst_switch: int) -> int:
         """Theorem 1 quantity: VRF-graph distance between host VRFs."""
-        dist = self.distances_to(dst_switch)
-        node = self.host_node(src_switch)
-        if node not in dist:
+        dist = self._distances(dst_switch)
+        row = self._edge_arrays().index.get(self.host_node(src_switch))
+        if row is None or dist.item(row) >= _UNREACHABLE:
             raise ValueError(f"{src_switch} cannot reach {dst_switch}")
-        return dist[node]
+        return dist.item(row)
 
     def next_hops(
         self, node: VrfNode, dst_switch: int
@@ -132,19 +258,19 @@ class VrfGraph:
         """Min-cost next hops (the ECMP set) at a VRF node toward a host.
 
         A successor qualifies when edge cost plus its remaining distance
-        equals this node's remaining distance.
+        equals this node's remaining distance.  Hops come in
+        ``digraph.adj[node]`` order with the edges' ``mult`` weights.
         """
-        dist = self.distances_to(dst_switch)
-        here = dist.get(node)
-        if here is None:
+        dist = self._distances(dst_switch)
+        arrays = self._edge_arrays()
+        row = arrays.index.get(node)
+        if row is None or dist.item(row) >= _UNREACHABLE:
             raise ValueError(f"{node} cannot reach switch {dst_switch}")
-        hops: List[Tuple[VrfNode, float]] = []
-        for succ in self.digraph.successors(node):
-            data = self.digraph[node][succ]
-            remaining = dist.get(succ)
-            if remaining is not None and data["cost"] + remaining == here:
-                hops.append((succ, data["mult"]))
-        return hops
+        lo, hi = arrays.bounds[row], arrays.bounds[row + 1]
+        remaining = arrays.cost[lo:hi] + dist[arrays.succ[lo:hi]]
+        tight = (remaining == dist.item(row)).nonzero()[0]
+        targets, mult = arrays.targets, arrays.mult
+        return [(targets[lo + i], mult[lo + i]) for i in tight.tolist()]
 
     @staticmethod
     def project(vrf_path: Sequence[VrfNode]) -> Tuple[int, ...]:

@@ -193,6 +193,7 @@ def execute_job(spec: JobSpec) -> Any:
 #: broad: a stale cache is a correctness bug, an over-invalidated one
 #: only costs a re-run.
 _SIM_DEPS = (
+    "repro.bgp",
     "repro.core",
     "repro.routing",
     "repro.sim",
@@ -393,7 +394,6 @@ register_experiment(
     _SIM_DEPS + (
         "repro.faults",
         "repro.igp",
-        "repro.bgp",
         "repro.experiments.failure_sweep",
         "repro.experiments.runner",
     ),

@@ -11,6 +11,7 @@ from repro.bgp import (
     reconvergence_after_failure,
 )
 from repro.routing import shortest_union_paths
+from repro.topology import dring
 
 
 class TestConvergence:
@@ -76,6 +77,53 @@ class TestForwardingPaths:
         fabric = build_converged_fabric(small_dring, 2)
         for src, dst in small_dring.rack_pairs():
             assert fabric.forwarding_paths(src, dst)
+
+
+def _per_hop_mismatches(fabric):
+    """(node, dst) pairs where BGP's next hops differ from the VRF DAG's.
+
+    The per-hop sets fix the hash split, so the converged control plane
+    and the data plane's ``next_hops`` must agree hop by hop, not just
+    on whole path sets.  Nodes on the destination switch are skipped:
+    AS-path loop prevention leaves them without a route, while the VRF
+    graph gives ``(1, dst)`` a finite distance; no min-cost path passes
+    through them.
+    """
+    vrf = fabric.vrf_graph
+    mismatches = []
+    for dst in fabric.network.racks:
+        for node in vrf.digraph.nodes:
+            if node[1] == dst:
+                continue
+            entry = fabric.rib(node, dst)
+            control = set(entry.hop_nodes()) if entry is not None else set()
+            try:
+                data = {hop for hop, _weight in vrf.next_hops(node, dst)}
+            except ValueError:
+                data = set()
+            if control != data:
+                mismatches.append((node, dst))
+    return mismatches
+
+
+class TestPerHopAgreement:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "fixture",
+        ["small_dring", "small_rrg", "small_leafspine", "small_xpander"],
+    )
+    def test_bgp_next_hops_equal_vrf_next_hops(self, request, fixture, k):
+        network = request.getfixturevalue(fixture)
+        assert _per_hop_mismatches(build_converged_fabric(network, k)) == []
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_agreement_survives_link_failure_and_repair(self, k):
+        fabric = build_converged_fabric(dring(8, 2, servers_per_rack=4), k)
+        assert _per_hop_mismatches(fabric) == []
+        fabric.fail_link(0, 2)
+        assert _per_hop_mismatches(fabric) == []
+        fabric.add_link(0, 2)
+        assert _per_hop_mismatches(fabric) == []
 
 
 class TestFailures:

@@ -65,7 +65,7 @@ class TestTheorem1:
         k = 3
         vrf = VrfGraph(small_dring, k)
         physical = dict(nx.all_pairs_shortest_path_length(small_dring.graph))
-        for src, dst in list(small_dring.rack_pairs())[:40]:
+        for src, dst in small_dring.rack_pairs():
             assert vrf.distance(src, dst) == max(physical[src][dst], k)
 
 

@@ -1,5 +1,8 @@
 """Tests for JobSpec identity, cache keys and the job-list builders."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.harness import jobs as jobs_module
@@ -82,6 +85,23 @@ class TestCacheKeys:
             jobs_module, "module_fingerprint", lambda deps: "deadbeef"
         )
         assert spec.key() != before
+
+    def test_sim_deps_cover_what_they_import(self):
+        """Importing the fingerprinted packages loads no other repro
+        package: one they import but do not list would change results
+        without re-keying the cached cells."""
+        script = (
+            "import importlib, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    importlib.import_module(name)\n"
+            "print(' '.join(sorted(name for name in sys.modules"
+            " if name.count('.') == 1 and name.startswith('repro.'))))\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", script, *jobs_module._SIM_DEPS],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert set(loaded) - set(jobs_module._SIM_DEPS) == set()
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
