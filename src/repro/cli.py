@@ -72,20 +72,6 @@ def _harness_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _shards_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="opt-in within-cell sharding for large fig4/ml cells: "
-        "expand each cell into N cooperating shard jobs (deterministic "
-        "hash partition, output byte-identical for every N; shards do "
-        "not contend, so sharded numbers differ from unsharded ones). "
-        "0 (default) keeps cells unsharded",
-    )
-
-
 def _wants_harness(args: argparse.Namespace) -> bool:
     return (
         args.jobs is not None or args.cache_dir is not None or args.no_cache
@@ -338,9 +324,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sweep_jobs,
     )
 
-    specs = sweep_jobs(
-        args.experiment, args.scale, seed=args.seed, shards=args.shards
-    )
+    specs = sweep_jobs(args.experiment, args.scale, seed=args.seed)
     results = _run_harness(args, specs, "+".join(args.experiment))
     for name in args.experiment:
         if name == "fig4":
@@ -408,7 +392,6 @@ def cmd_ml(args: argparse.Namespace) -> int:
         schemes=args.scheme,
         policies=args.policy,
         placement_seeds=placement_seeds,
-        shards=args.shards,
     )
     # Always route through the harness: every collective cell is cached
     # and crash-isolated, so reruns and wider sweeps are incremental.
@@ -565,49 +548,27 @@ def cmd_submit(args: argparse.Namespace) -> int:
         submission["scheme"] = args.scheme
     if args.pattern:
         submission["pattern"] = args.pattern
-    params: dict = {}
     if args.param:
         try:
-            params = dict(_parse_param(raw) for raw in args.param)
+            submission["params"] = dict(
+                _parse_param(raw) for raw in args.param
+            )
         except ValueError as exc:
             print(f"submit: {exc}", file=sys.stderr)
             return 2
-    shards = args.shards
-    if shards < 0:
-        print(f"submit: shard count must be >= 0, got {shards}",
-              file=sys.stderr)
-        return 2
-    submissions: list = []
-    if shards:
-        # One submission per shard job; the shard geometry rides in
-        # params, so each shard gets its own cache key.
-        for index in range(shards):
-            sharded = dict(submission)
-            sharded["params"] = dict(
-                params, shard_index=index, shard_count=shards
-            )
-            submissions.append(sharded)
-    else:
-        if params:
-            submission["params"] = params
-        submissions.append(submission)
     client = _service_client(args)
     try:
-        jobs = [client.submit(body) for body in submissions]
-        for job in jobs:
-            print(f"{job['id']} {job['state']} key={job['key']}")
+        job = client.submit(submission)
+        print(f"{job['id']} {job['state']} key={job['key']}")
         if not args.wait:
             return 0
-        finals = [
-            client.wait(job["id"], on_event=_print_event) for job in jobs
-        ]
+        final = client.wait(job["id"], on_event=_print_event)
     except ServiceError as exc:
         print(f"submit: {exc}", file=sys.stderr)
         return 1
-    for final in finals:
-        print(f"{final['id']} {final['state']}"
-              + (f" — {final['error']}" if final["error"] else ""))
-    return 0 if all(final["state"] == "done" for final in finals) else 1
+    print(f"{final['id']} {final['state']}"
+          + (f" — {final['error']}" if final["error"] else ""))
+    return 0 if final["state"] == "done" else 1
 
 
 def cmd_status(args: argparse.Namespace) -> int:
@@ -896,7 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     _scale_argument(p)
     p.add_argument("--seed", type=int, default=0)
     _harness_arguments(p)
-    _shards_argument(p)
     p.add_argument(
         "--timeout",
         type=float,
@@ -1027,7 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
         "from --seed)",
     )
     _harness_arguments(p)
-    _shards_argument(p)
     p.add_argument(
         "--timeout",
         type=float,
@@ -1112,14 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="extra job param (repeatable); values parse as "
         "bool/int/float/str",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="submit the cell as N cooperating shard jobs (fig4/ml "
-        "only; merged output is byte-identical for every N)",
     )
     p.add_argument(
         "--wait",

@@ -164,49 +164,6 @@ def run_fig4_cell(
     return simulate_fct(tut.network, tut.routing, placement, flows, seed=seed)
 
 
-def run_fig4_cell_shard(
-    scale: Scale,
-    pattern: str,
-    scheme: str,
-    seed: int = 0,
-    utilization: float = 0.30,
-    shard_index: int = 0,
-    shard_count: int = 1,
-) -> FctResults:
-    """One shard job of a sharded Figure 4 cell (``repro --shards``).
-
-    Regenerates the cell's workload from the same seeded recipe as
-    :func:`run_fig4_cell`, then hands it to the deterministic hash
-    partitioner (:mod:`repro.sim.shard`).  Merging all ``shard_count``
-    outputs reassembles the sharded cell; the result is byte-identical
-    for every ``shard_count`` but — shards do not contend — not equal to
-    the unsharded cell.
-    """
-    from repro.sim.shard import simulate_fct_sharded
-
-    by_label = {p.label: p for p in fig4_patterns(scale, seed=seed)}
-    try:
-        pattern_spec = by_label[pattern]
-    except KeyError:
-        raise KeyError(
-            f"unknown fig4 pattern {pattern!r}; know {list(by_label)}"
-        ) from None
-    tut = build_scheme(scheme, scale, seed=seed)
-    flows = _pattern_flows(scale, pattern_spec, seed, utilization)
-    placement = tut.placement(
-        shuffle=pattern_spec.random_placement, seed=seed
-    )
-    return simulate_fct_sharded(
-        tut.network,
-        tut.routing,
-        placement,
-        flows,
-        seed=seed,
-        shard_index=shard_index,
-        shard_count=shard_count,
-    )
-
-
 def fig4_result_from_cells(
     cells: Dict[Tuple[str, str], FctResults],
     patterns: List[str] = None,

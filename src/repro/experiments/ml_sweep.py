@@ -181,136 +181,6 @@ def run_ml_cell(
     }
 
 
-def run_ml_cell_shard(
-    scale: Scale,
-    topology: str,
-    scheme: str,
-    policy: str = "compact",
-    placement_seed: int = 0,
-    seed: int = 0,
-    shard_index: int = 0,
-    shard_count: int = 1,
-    jobs: Optional[Sequence[TrainingJob]] = None,
-) -> Dict[str, Any]:
-    """One shard job of a sharded ML cell (``repro ml --shards``).
-
-    Collective cells shard on *training jobs*: each job hashes into a
-    fixed virtual shard, and every virtual shard runs its job subset
-    through its own phase-cohort loop.  The partial record carries this
-    shard's timelines and job rows plus the full placement-order job
-    list; :func:`merge_ml_cell_shards` reassembles the cell.  As with
-    flow sharding, shards do not contend — sharded numbers are
-    deterministic and N-independent but not the unsharded cell's.
-    """
-    from repro.sim.shard import NUM_VIRTUAL_SHARDS, shard_seed
-
-    if shard_count < 1:
-        raise ValueError(f"shard count must be >= 1, got {shard_count}")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard index {shard_index} outside [0, {shard_count})"
-        )
-    network = build_ml_topology(topology, scale, seed=seed)
-    routing = build_ml_routing(scheme, network)
-    if jobs is None:
-        jobs = default_training_jobs(scale)
-    placements = place_jobs(
-        jobs, network, policy=policy, seed=placement_seed
-    )
-    driver_seed = stable_seed("ml-run", seed, topology, policy, placement_seed)
-    virtual_of = {
-        p.job.name: stable_seed("job-shard", p.job.name) % NUM_VIRTUAL_SHARDS
-        for p in placements
-    }
-    job_rows: List[Dict[str, Any]] = []
-    timelines_payload: Dict[str, Any] = {"jobs": []}
-    for virtual in range(shard_index, NUM_VIRTUAL_SHARDS, shard_count):
-        subset = [
-            p for p in placements if virtual_of[p.job.name] == virtual
-        ]
-        if not subset:
-            continue
-        results = run_collectives(
-            network, routing, subset, seed=shard_seed(driver_seed, virtual)
-        )
-        timelines_payload["jobs"].extend(results.to_json_dict()["jobs"])
-        for placement in subset:
-            timeline = results.timeline(placement.job.name)
-            mean_comm = sum(
-                r.comm_time_s for r in timeline.records
-            ) / len(timeline.records)
-            job_rows.append(
-                {
-                    "job": placement.job.name,
-                    "collective": placement.job.collective,
-                    "num_workers": placement.job.num_workers,
-                    "racks": len(placement.racks(network)),
-                    "iterations": timeline.num_iterations,
-                    "mean_comm_time_s": mean_comm,
-                    "mean_iteration_time_s": timeline.mean_iteration_time_s(),
-                }
-            )
-    return {
-        "topology": topology,
-        "scheme": scheme,
-        "policy": policy,
-        "placement_seed": placement_seed,
-        "shard_index": shard_index,
-        "shard_count": shard_count,
-        "job_order": [p.job.name for p in placements],
-        "jobs": job_rows,
-        "collective": timelines_payload,
-    }
-
-
-def merge_ml_cell_shards(
-    partials: Sequence[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Fold shard-job partials back into one ML-cell record.
-
-    Job rows and timelines are reordered to the placement order every
-    partial carries (it is seed-derived, so all partials agree), making
-    the merged record independent of shard-job completion order and of
-    ``shard_count``.
-    """
-    if not partials:
-        raise ValueError("no shard partials to merge")
-    first = partials[0]
-    job_order: List[str] = list(first["job_order"])
-    rows_by_job: Dict[str, Dict[str, Any]] = {}
-    timelines_by_job: Dict[str, Any] = {}
-    for partial in partials:
-        if list(partial["job_order"]) != job_order:
-            raise ValueError("shard partials disagree on the job order")
-        for row in partial["jobs"]:
-            rows_by_job[row["job"]] = row
-        for entry in partial["collective"]["jobs"]:
-            timelines_by_job[entry["job"]] = entry
-    missing = [name for name in job_order if name not in rows_by_job]
-    if missing:
-        raise ValueError(f"shard partials missing jobs {missing}")
-    job_rows = [rows_by_job[name] for name in job_order]
-    per_job = [row["mean_iteration_time_s"] for row in job_rows]
-    return {
-        "topology": first["topology"],
-        "scheme": first["scheme"],
-        "policy": first["policy"],
-        "placement_seed": first["placement_seed"],
-        # Deliberately N-independent: the merged record must be
-        # byte-identical for every --shards N, so it records *that* the
-        # cell was sharded, never into how many jobs.
-        "sharded": True,
-        "num_jobs": len(job_rows),
-        "num_workers": sum(row["num_workers"] for row in job_rows),
-        "iteration_time_s": float(sum(per_job) / len(per_job)),
-        "max_iteration_time_s": float(max(per_job)),
-        "jobs": job_rows,
-        "collective": {
-            "jobs": [timelines_by_job[name] for name in job_order]
-        },
-    }
-
-
 # ----------------------------------------------------------------------
 # Aggregation and rendering
 # ----------------------------------------------------------------------

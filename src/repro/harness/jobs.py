@@ -208,21 +208,27 @@ def _scale(spec: JobSpec) -> "Scale":
     return scale_by_name(spec.scale)
 
 
-def _run_fig4_job(spec: JobSpec) -> Dict[str, Any]:
-    from repro.experiments.fig4_fct import run_fig4_cell, run_fig4_cell_shard
+def _read_params(spec: JobSpec, *names: str) -> Dict[str, Any]:
+    """``spec``'s params, refusing any the runner does not read.
 
+    A runner that reads its params through ``.get(name, default)`` would
+    otherwise run a misspelt param at its default while caching the
+    result under a key that names the param.
+    """
     params = spec.params_dict()
-    if "shard_count" in params:
-        results = run_fig4_cell_shard(
-            _scale(spec),
-            pattern=spec.pattern,
-            scheme=spec.scheme,
-            seed=spec.seed,
-            utilization=params.get("utilization", 0.30),
-            shard_index=int(params["shard_index"]),
-            shard_count=int(params["shard_count"]),
+    unread = sorted(set(params) - set(names))
+    if unread:
+        raise ValueError(
+            f"{spec.experiment} jobs read only {list(names)}; "
+            f"unread params {unread}"
         )
-        return results.to_json_dict()
+    return params
+
+
+def _run_fig4_job(spec: JobSpec) -> Dict[str, Any]:
+    from repro.experiments.fig4_fct import run_fig4_cell
+
+    params = _read_params(spec, "utilization")
     results = run_fig4_cell(
         _scale(spec),
         pattern=spec.pattern,
@@ -318,22 +324,11 @@ def _run_faults_job(spec: JobSpec) -> Dict[str, Any]:
 
 
 def _run_ml_job(spec: JobSpec) -> Dict[str, Any]:
-    from repro.experiments.ml_sweep import run_ml_cell, run_ml_cell_shard
+    from repro.experiments.ml_sweep import run_ml_cell
 
-    params = spec.params_dict()
+    params = _read_params(spec, "policy", "placement_seed")
     # The placement seed rides in params; absent (hand-rolled specs) it
     # follows the job seed, so nothing is ever hard-coded to 0.
-    if "shard_count" in params:
-        return run_ml_cell_shard(
-            _scale(spec),
-            topology=spec.pattern,
-            scheme=spec.scheme,
-            policy=str(params.get("policy", "compact")),
-            placement_seed=int(params.get("placement_seed", spec.seed)),
-            seed=spec.seed,
-            shard_index=int(params["shard_index"]),
-            shard_count=int(params["shard_count"]),
-        )
     return run_ml_cell(
         _scale(spec),
         topology=spec.pattern,
@@ -415,38 +410,13 @@ register_experiment("selftest", _run_selftest_job, ("repro.harness.jobs",))
 # ----------------------------------------------------------------------
 
 
-def _shard_params(shards: int) -> List[Dict[str, Any]]:
-    """Per-job shard params for ``--shards N`` (empty list = unsharded).
-
-    ``shards == 0`` (the default) keeps the single-job unsharded path;
-    any ``shards >= 1`` opts the cell into the sharded engine, expanded
-    to one job per shard index.  ``shards=1`` still runs the sharded
-    path — that is what makes its output the byte-identity baseline for
-    every larger N.
-    """
-    if shards < 0:
-        raise ValueError(f"shard count must be >= 0, got {shards}")
-    if shards == 0:
-        return [{}]
-    return [
-        {"shard_index": index, "shard_count": shards}
-        for index in range(shards)
-    ]
-
-
 def fig4_jobs(
     scale: str,
     seed: int = 0,
     patterns: Optional[Sequence[str]] = None,
     schemes: Optional[Sequence[str]] = None,
-    shards: int = 0,
 ) -> List[JobSpec]:
-    """The Figure 4 grid as one job per (pattern, scheme) cell.
-
-    With ``shards >= 1`` every cell expands into that many cooperating
-    shard jobs (see :mod:`repro.sim.shard`); the shard geometry rides in
-    ``params``, so shard jobs get their own cache keys for free.
-    """
+    """The Figure 4 grid as one job per (pattern, scheme) cell."""
     from repro.experiments.fig4_fct import fig4_patterns
     from repro.experiments.runner import scale_by_name, scheme_labels
 
@@ -462,11 +432,9 @@ def fig4_jobs(
             scheme=scheme,
             pattern=pattern,
             seed=seed,
-            **shard,
         )
         for pattern in patterns
         for scheme in schemes
-        for shard in _shard_params(shards)
     ]
 
 
@@ -607,7 +575,6 @@ def ml_jobs(
     schemes: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[str]] = None,
     placement_seeds: Optional[Sequence[int]] = None,
-    shards: int = 0,
 ) -> List[JobSpec]:
     """The ML collective sweep as one job per cell.
 
@@ -636,13 +603,11 @@ def ml_jobs(
             seed=seed,
             policy=str(policy),
             placement_seed=int(placement_seed),
-            **shard,
         )
         for topology in topologies
         for scheme in schemes
         for policy in policies
         for placement_seed in placement_seeds
-        for shard in _shard_params(shards)
     ]
 
 
@@ -653,17 +618,13 @@ SWEEPS: Tuple[str, ...] = (
 
 
 def sweep_jobs(
-    experiments: Sequence[str], scale: str, seed: int = 0, shards: int = 0
+    experiments: Sequence[str], scale: str, seed: int = 0
 ) -> List[JobSpec]:
-    """The combined job list for ``repro sweep``.
-
-    ``shards`` opts the shard-capable sweeps (fig4, ml) into within-cell
-    sharding; the other sweeps' cells are small and run unsharded.
-    """
+    """The combined job list for ``repro sweep``."""
     jobs: List[JobSpec] = []
     for name in experiments:
         if name == "fig4":
-            jobs += fig4_jobs(scale, seed=seed, shards=shards)
+            jobs += fig4_jobs(scale, seed=seed)
         elif name == "fig5":
             jobs += fig5_jobs(scale, seed=seed)
         elif name == "fig6":
@@ -675,7 +636,7 @@ def sweep_jobs(
         elif name == "faults":
             jobs += faults_jobs(scale, seed=seed)
         elif name == "ml":
-            jobs += ml_jobs(scale, seed=seed, shards=shards)
+            jobs += ml_jobs(scale, seed=seed)
         else:
             raise KeyError(f"unknown sweep {name!r}; know {list(SWEEPS)}")
     return jobs
@@ -699,35 +660,14 @@ def _present(
 
 
 def assemble_fig4(specs: Sequence[JobSpec], results: Dict[str, Any]) -> Any:
-    """Fold fig4 cell payloads into a :class:`Fig4Result`.
-
-    Sharded cells arrive as several jobs per (pattern, scheme); their
-    partial record sets fold through the canonical shard merge, which is
-    associative, so the assembled cell is byte-identical for every
-    ``--shards N``.  A sharded cell missing any of its shard jobs is
-    left out entirely rather than assembled from a partial workload.
-    """
+    """Fold fig4 cell payloads into a :class:`Fig4Result`."""
     from repro.experiments.fig4_fct import fig4_result_from_cells
     from repro.sim.results import FctResults
-    from repro.sim.shard import merge_records
 
-    parts: Dict[Tuple[str, str], List[Any]] = {}
-    expected: Dict[Tuple[str, str], int] = {}
-    for spec in specs:
-        if spec.experiment != "fig4":
-            continue
-        cell = (spec.pattern, spec.scheme)
-        expected[cell] = expected.get(cell, 0) + 1
-    for spec, payload in _present(specs, results):
-        if spec.experiment != "fig4":
-            continue
-        parts.setdefault((spec.pattern, spec.scheme), []).append(
-            FctResults.from_json_dict(payload)
-        )
     cells = {
-        cell: merge_records(pieces) if len(pieces) > 1 else pieces[0]
-        for cell, pieces in parts.items()
-        if len(pieces) == expected[cell]
+        (spec.pattern, spec.scheme): FctResults.from_json_dict(payload)
+        for spec, payload in _present(specs, results)
+        if spec.experiment == "fig4"
     }
     patterns = list(
         dict.fromkeys(s.pattern for s in specs if s.experiment == "fig4")
@@ -793,36 +733,12 @@ def assemble_faults(
 def assemble_ml(
     specs: Sequence[JobSpec], results: Dict[str, Any]
 ) -> List[Dict[str, Any]]:
-    """Collect the ML sweep's per-cell records, in spec order.
-
-    Shard-job partials (specs carrying ``shard_count``) fold back into
-    one record per cell via :func:`merge_ml_cell_shards`; a sharded cell
-    missing any shard job is dropped rather than half-assembled.
-    """
-    from repro.experiments.ml_sweep import merge_ml_cell_shards
-
-    records: List[Dict[str, Any]] = []
-    pending: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
-    for spec, payload in _present(specs, results):
-        if spec.experiment != "ml":
-            continue
-        params = spec.params_dict()
-        if "shard_count" not in params:
-            records.append(payload)
-            continue
-        cell = (
-            spec.scale,
-            spec.scheme,
-            spec.pattern,
-            spec.seed,
-            params.get("policy"),
-            params.get("placement_seed"),
-        )
-        group = pending.setdefault(cell, [])
-        group.append(payload)
-        if len(group) == int(params["shard_count"]):
-            records.append(merge_ml_cell_shards(group))
-    return records
+    """Collect the ML sweep's per-cell records, in spec order."""
+    return [
+        payload
+        for spec, payload in _present(specs, results)
+        if spec.experiment == "ml"
+    ]
 
 
 def assemble_robustness(

@@ -1,16 +1,21 @@
 """Tests for JobSpec identity, cache keys and the job-list builders."""
 
+import dataclasses
+import json
 import subprocess
 import sys
 
 import pytest
 
+from repro.experiments.fig4_fct import run_fig4_cell
+from repro.experiments.runner import SMALL, Scale, build_scheme
 from repro.harness import jobs as jobs_module
 from repro.harness.jobs import (
     EXPERIMENT_REGISTRY,
     JobSpec,
     ablation_jobs,
     assemble_ml,
+    execute_job,
     faults_jobs,
     fig4_jobs,
     fig5_jobs,
@@ -223,3 +228,68 @@ class TestJobLists:
         for name in ("fig4", "fig5", "fig6", "robustness", "ablation-k",
                      "ablation-shape", "faults", "ml", "selftest"):
             assert name in EXPERIMENT_REGISTRY
+
+
+class TestUnreadParams:
+    """A param its runner does not read fails the job instead of running
+    the cell at the default under a key that names the param."""
+
+    def test_fig4_rejects_unread_param(self):
+        spec = JobSpec.make(
+            "fig4", scale="small", scheme="DRing (su2)", pattern="A2A",
+            utilisation=0.5,
+        )
+        with pytest.raises(ValueError, match="utilisation"):
+            execute_job(spec)
+
+    def test_ml_rejects_unread_param(self):
+        spec = JobSpec.make(
+            "ml", scale="small", scheme="ecmp", pattern="dring",
+            polcy="random",
+        )
+        with pytest.raises(ValueError, match="polcy"):
+            execute_job(spec)
+
+
+#: A scale no other test builds, so no topology built earlier in the
+#: session can stand in for this one's DRing.
+XPROC = Scale(
+    name="xproc",
+    leaf_x=8,
+    leaf_y=4,
+    dring_m=8,
+    dring_n=2,
+    dring_servers=96,
+    max_flows=800,
+    window_seconds=0.04,
+    size_cap_bytes=10e6,
+)
+
+
+class TestCrossProcess:
+    def test_fig4_cell_deterministic_across_processes(self):
+        """A fig4 cell computes identical bytes in a fresh OS process —
+        the property that lets the harness and the service scatter cells
+        over worker processes.  The in-process run first builds the same
+        scheme at another scale, so a topology cache shared across calls
+        hands the cell the wrong network whichever tests ran before."""
+        build_scheme("DRing (su2)", SMALL, seed=0)
+        local = run_fig4_cell(
+            XPROC, "A2A", "DRing (su2)", seed=0
+        ).to_json_dict()
+        script = (
+            "import json, sys\n"
+            "from repro.experiments.fig4_fct import run_fig4_cell\n"
+            "from repro.experiments.runner import Scale\n"
+            "scale = Scale(**json.loads(sys.argv[1]))\n"
+            "cell = run_fig4_cell(scale, 'A2A', 'DRing (su2)', seed=0)\n"
+            "print(json.dumps(cell.to_json_dict(), sort_keys=True))\n"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", script,
+             json.dumps(dataclasses.asdict(XPROC))],
+            capture_output=True, text=True, check=True,
+        )
+        assert json.loads(fresh.stdout) == json.loads(
+            json.dumps(local, sort_keys=True)
+        )

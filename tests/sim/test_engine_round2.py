@@ -7,7 +7,7 @@ pins the warm/batched engine bitwise against the verbatim legacy
 reference — with every warm solve also shadow-checked against a cold
 solve, and under big synchronized arrival cohorts — and checks the new
 observability surface (cohort histograms, warm-start counters) plus the
-:meth:`FlowSimulator.reset` contract the sharding layer relies on.
+:meth:`FlowSimulator.reset` contract the phase driver relies on.
 Parity across all six schemes and on fault-degraded networks lives in
 ``test_engine_parity.py``.
 """
@@ -133,7 +133,8 @@ class TestEngineCounters:
 
 
 class TestReset:
-    """reset() must equal fresh construction — sharding depends on it."""
+    """reset() must equal fresh construction — the phase driver reuses
+    one simulator per phase through it."""
 
     def test_reset_rerun_bit_identical(self, small_dring):
         _cluster, flows = workload(small_dring, num_flows=150)
