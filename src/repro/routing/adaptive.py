@@ -17,7 +17,6 @@ completely static — the coarse granularity that makes it deployable.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Tuple
 
 from repro.core.network import Network
@@ -95,9 +94,6 @@ class CoarseAdaptiveRouting(RoutingScheme):
 
     def _compute_paths(self, src: int, dst: int) -> List[Path]:
         return self._active.paths(src, dst)
-
-    def sample_path(self, src: int, dst: int, rng: random.Random) -> Path:
-        return self._active.sample_path(src, dst, rng)
 
     def _compute_edge_fractions(self, src: int, dst: int) -> EdgeFractions:
         return self._active.edge_fractions(src, dst)

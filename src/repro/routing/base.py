@@ -12,9 +12,14 @@ A :class:`RoutingScheme` answers three questions about a rack pair
   crossing each directed network link (used by the steady-state
   throughput solver).
 
+A scheme defines the first and third; the per-flow sampler lives in its
+compiled form (:mod:`repro.sim.engine.routing`), which every simulator
+and ``sample_path`` run.
+
 All schemes are *oblivious*: the answers depend only on the topology,
 never on load — the property the paper insists on for deployability
-(Section 4).
+(Section 4).  A scheme answers only for the topology it was built on:
+after a network mutation every query raises :class:`RoutingError`.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ class RoutingScheme(abc.ABC):
 
     def __init__(self, network: Network) -> None:
         self.network = network
+        self._topology_version = network.topology_version
         self._path_cache: Dict[Tuple[int, int], List[Path]] = {}
         self._fraction_cache: Dict[Tuple[int, int], EdgeFractions] = {}
         self._compiled: Optional["CompiledRouting"] = None
@@ -54,10 +60,6 @@ class RoutingScheme(abc.ABC):
     @abc.abstractmethod
     def _compute_paths(self, src: int, dst: int) -> List[Path]:
         """Enumerate the scheme's path set for a rack pair."""
-
-    @abc.abstractmethod
-    def sample_path(self, src: int, dst: int, rng: random.Random) -> Path:
-        """Draw the path a single flow would take."""
 
     @abc.abstractmethod
     def _compute_edge_fractions(self, src: int, dst: int) -> EdgeFractions:
@@ -88,29 +90,43 @@ class RoutingScheme(abc.ABC):
         """Number of distinct paths available to the pair."""
         return len(self.paths(src, dst))
 
-    def compile(self, table: Optional["LinkTable"] = None) -> "CompiledRouting":
-        """The array-backed lowering of this scheme (cached per table).
+    def sample_path(self, src: int, dst: int, rng: random.Random) -> Path:
+        """Draw the path a single flow would take (the compiled walk)."""
+        return self.compile().sample(src, dst, rng)[0]
 
-        The compiled form answers ``sample_path`` / ``edge_fractions``
-        in dense :class:`~repro.core.linktable.LinkTable` link ids with
-        the exact RNG stream and values of the legacy methods; see
-        :mod:`repro.sim.engine.routing`.  Recompiles automatically when
-        the network's link table changes (topology mutation).
+    def compile(self, table: Optional["LinkTable"] = None) -> "CompiledRouting":
+        """The array-backed lowering of this scheme, built once.
+
+        The compiled form samples flow paths and lowers
+        ``edge_fractions`` onto dense
+        :class:`~repro.core.linktable.LinkTable` link ids; see
+        :mod:`repro.sim.engine.routing`.  ``table``, when given, must be
+        the network's current link table.
         """
         # Imported lazily: the engine depends on repro.routing, not the
         # other way around.
         from repro.sim.engine.routing import compile_routing
 
-        if table is None:
-            table = self.network.link_table()
-        cached = self._compiled
-        if cached is not None and cached.table is table:
-            return cached
-        compiled = compile_routing(self, table)
-        self._compiled = compiled
-        return compiled
+        self._check_topology()
+        if self._compiled is None:
+            self._compiled = compile_routing(self, self.network.link_table())
+        if table is not None and table is not self._compiled.table:
+            raise RoutingError(
+                f"{self.name} compiles only onto its network's link table"
+            )
+        return self._compiled
+
+    def _check_topology(self) -> None:
+        current = self.network.topology_version
+        if current != self._topology_version:
+            raise RoutingError(
+                f"{self.name} was built on topology version "
+                f"{self._topology_version} but the network is now at "
+                f"version {current}; build a new scheme"
+            )
 
     def _check_pair(self, src: int, dst: int) -> None:
+        self._check_topology()
         if src == dst:
             raise RoutingError("src and dst racks must differ")
         if src not in self.network.graph or dst not in self.network.graph:

@@ -1,15 +1,14 @@
-"""Next-hop DAG utilities shared by ECMP and the VRF realization of
+"""Next-hop DAG propagation shared by ECMP and the VRF realization of
 Shortest-Union(K).
 
 Hardware ECMP is a per-hop decision: at each switch, traffic toward a
 destination splits (approximately) evenly over the next hops that lie on
 a minimum-cost path, weighted by the number of parallel links.  Both the
 physical shortest-path DAG (plain ECMP) and the VRF-graph shortest-path
-DAG (Shortest-Union) reduce to the same two primitives:
-
-* :func:`walk` — sample one concrete path, as a flow hashed at each hop;
-* :func:`fractions` — the expected traffic fraction per DAG edge, by
-  forward propagation of the per-hop splits.
+DAG (Shortest-Union) give the expected traffic fraction per DAG edge by
+the same forward propagation of the per-hop splits, :func:`fractions`.
+The per-flow walk over the same DAGs is compiled, in
+:mod:`repro.sim.engine.routing`.
 
 A "DAG" here is given functionally: ``next_hops(node)`` returns the list
 of ``(neighbor, weight)`` choices at ``node``.  Weights are proportional
@@ -18,8 +17,7 @@ shares (parallel-link multiplicity); they need not be normalized.
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Sequence, Tuple
 
 Node = Hashable
 NextHops = Callable[[Node], Sequence[Tuple[Node, float]]]
@@ -27,27 +25,6 @@ NextHops = Callable[[Node], Sequence[Tuple[Node, float]]]
 
 class DagError(RuntimeError):
     """Raised when a walk or propagation cannot reach the destination."""
-
-
-def walk(
-    next_hops: NextHops,
-    src: Node,
-    dst: Node,
-    rng: random.Random,
-    max_hops: int = 1_000,
-) -> List[Node]:
-    """Sample one path from src to dst by weighted per-hop choices."""
-    path = [src]
-    node = src
-    for _ in range(max_hops):
-        if node == dst:
-            return path
-        choices = next_hops(node)
-        if not choices:
-            raise DagError(f"dead end at {node!r} walking toward {dst!r}")
-        node = _weighted_choice(choices, rng)
-        path.append(node)
-    raise DagError(f"walk exceeded {max_hops} hops; next_hops is not a DAG")
 
 
 def fractions(
@@ -112,17 +89,3 @@ def fractions(
         )
     return edge_flow
 
-
-def _weighted_choice(
-    choices: Sequence[Tuple[Node, float]], rng: random.Random
-) -> Node:
-    total = sum(weight for _node, weight in choices)
-    if total <= 0:
-        raise DagError("non-positive total weight in next-hop choice")
-    threshold = rng.random() * total
-    accumulated = 0.0
-    for node, weight in choices:
-        accumulated += weight
-        if accumulated >= threshold:
-            return node
-    return choices[-1][0]

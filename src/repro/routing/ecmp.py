@@ -10,7 +10,6 @@ mode Shortest-Union(K) repairs.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Tuple
 
 import networkx as nx
@@ -64,12 +63,6 @@ class EcmpRouting(RoutingScheme):
             tuple(path)
             for path in nx.all_shortest_paths(self.network.graph, src, dst)
         ]
-
-    def sample_path(self, src: int, dst: int, rng: random.Random) -> Path:
-        self._check_pair(src, dst)
-        return tuple(
-            dag.walk(lambda node: self.next_hops(node, dst), src, dst, rng)
-        )
 
     def _compute_edge_fractions(self, src: int, dst: int) -> EdgeFractions:
         return dict(

@@ -12,7 +12,6 @@ how MPTCP subflows are pinned in the Jellyfish evaluation.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Dict, List, Tuple
 
 import networkx as nx
@@ -34,9 +33,6 @@ class KShortestPathsRouting(RoutingScheme):
     def _compute_paths(self, src: int, dst: int) -> List[Path]:
         generator = nx.shortest_simple_paths(self.network.graph, src, dst)
         return [tuple(p) for p in itertools.islice(generator, self.k)]
-
-    def sample_path(self, src: int, dst: int, rng: random.Random) -> Path:
-        return rng.choice(self.paths(src, dst))
 
     def _compute_edge_fractions(self, src: int, dst: int) -> EdgeFractions:
         paths = self.paths(src, dst)

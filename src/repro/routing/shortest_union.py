@@ -6,16 +6,16 @@ flat network may have a *single* shortest path — gain extra paths, while
 distant pairs keep using shortest paths only.  The paper recommends K=2
 as the sweet spot between path diversity and path stretch.
 
-The per-flow behaviour here mirrors the BGP/VRF realization exactly: a
-flow performs per-hop ECMP over the min-cost DAG of the
+The per-flow behaviour mirrors the BGP/VRF realization exactly: a flow
+performs per-hop ECMP over the min-cost DAG of the
 :class:`~repro.bgp.vrf.VrfGraph`, with router-level loops rejected the
 way BGP's AS-path check rejects them.  For K ≤ 2 loops cannot arise, so
-the DAG walk is used directly.
+the DAG walk is used directly.  The walk is compiled, in
+:mod:`repro.sim.engine.routing`.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Set, Tuple
 
 import networkx as nx
@@ -24,8 +24,6 @@ from repro.core.network import Network
 from repro.routing import dag
 from repro.routing.base import EdgeFractions, Path, RoutingScheme
 from repro.bgp.vrf import VrfGraph
-
-_MAX_LOOP_RESAMPLES = 64
 
 
 def shortest_union_paths(
@@ -64,27 +62,6 @@ class ShortestUnionRouting(RoutingScheme):
 
     def _compute_paths(self, src: int, dst: int) -> List[Path]:
         return shortest_union_paths(self.network, src, dst, self.k)
-
-    def sample_path(self, src: int, dst: int, rng: random.Random) -> Path:
-        """Walk the VRF DAG; reject router-level loops as BGP would.
-
-        For K ≤ 2 every DAG walk is already simple.  For larger K the
-        walk is resampled on a loop; after a bounded number of rejections
-        we fall back to a uniform draw from the enumerated path set so
-        pathological pairs cannot stall the simulator.
-        """
-        self._check_pair(src, dst)
-        start = self.vrf.host_node(src)
-        goal = self.vrf.host_node(dst)
-        for _attempt in range(_MAX_LOOP_RESAMPLES):
-            vrf_path = dag.walk(
-                lambda node: self.vrf.next_hops(node, dst), start, goal, rng
-            )
-            physical = VrfGraph.project(vrf_path)
-            # Loop-freedom check; paths are a few hops.
-            if len(set(physical)) == len(physical):
-                return physical
-        return rng.choice(self.paths(src, dst))
 
     def _compute_edge_fractions(self, src: int, dst: int) -> EdgeFractions:
         """Per-link fractions by propagation on the VRF DAG.

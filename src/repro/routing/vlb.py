@@ -10,7 +10,6 @@ Section 7 and the ablation benchmarks.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Tuple
 
 from repro.core.network import Network
@@ -50,15 +49,6 @@ class VlbRouting(RoutingScheme):
                 seen.add(path)
                 paths.append(path)
         return paths
-
-    def sample_path(self, src: int, dst: int, rng: random.Random) -> Path:
-        self._check_pair(src, dst)
-        via = rng.choice(self._intermediates)
-        if via == src or via == dst:
-            return self._ecmp.sample_path(src, dst, rng)
-        first = self._ecmp.sample_path(src, via, rng)
-        second = self._ecmp.sample_path(via, dst, rng)
-        return first + second[1:]
 
     def _compute_edge_fractions(self, src: int, dst: int) -> EdgeFractions:
         """Average the two ECMP segments over all intermediates."""

@@ -45,7 +45,6 @@ from repro.service.jobs import (
     validate_submission,
 )
 from repro.service.leaderboard import (
-    LEADERBOARD_METRICS,
     METRIC_REGISTRY,
     LeaderboardEntry,
     MetricSpec,
@@ -59,7 +58,6 @@ from repro.service.store import ServiceStore, StoreLock, StoreLockTimeout
 
 __all__ = [
     "JOB_STATES",
-    "LEADERBOARD_METRICS",
     "METRIC_REGISTRY",
     "JobManager",
     "LeaderboardEntry",

@@ -50,11 +50,6 @@ class MetricSpec:
 #: Registration-ordered metric registry.
 METRIC_REGISTRY: Dict[str, MetricSpec] = {}
 
-#: metric name -> True when higher values should rank first.  Derived
-#: from the registry; kept as a plain mapping for backwards
-#: compatibility with pre-registry callers.
-LEADERBOARD_METRICS: Dict[str, bool] = {}
-
 
 def register_metric(
     name: str, higher_is_better: bool, description: str = ""
@@ -66,7 +61,6 @@ def register_metric(
         description=description,
     )
     METRIC_REGISTRY[name] = spec
-    LEADERBOARD_METRICS[name] = higher_is_better
     return spec
 
 
@@ -104,17 +98,6 @@ class LeaderboardEntry:
             if metric_name == name:
                 return float(value)
         return None
-
-    def __getattr__(self, name: str) -> Any:
-        # Back-compat: pre-registry entries carried their columns as
-        # plain fields (entry.num_flows, entry.p99_fct_ms, ...).
-        for key, value in self.extras:
-            if key == name:
-                return value
-        for key, value in self.values:
-            if key == name:
-                return value
-        raise AttributeError(name)
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -315,7 +298,7 @@ def build_leaderboard(
 
 
 def _render_fig4_rows(rows: List[Dict[str, Any]], metric: str) -> str:
-    arrow = "^" if LEADERBOARD_METRICS.get(metric, False) else "v"
+    arrow = "^" if METRIC_REGISTRY[metric].higher_is_better else "v"
     lines = [
         f"leaderboard by {metric} ({arrow} best first)",
         f"{'rank':>4}  {'scheme':<18} {'workload':<12} {'scale':<8}"
@@ -350,7 +333,7 @@ def _render_ml_rows(rows: List[Dict[str, Any]], metric: str) -> str:
 def _render_generic_rows(
     rows: List[Dict[str, Any]], metric: str
 ) -> str:
-    arrow = "^" if LEADERBOARD_METRICS.get(metric, False) else "v"
+    arrow = "^" if METRIC_REGISTRY[metric].higher_is_better else "v"
     lines = [
         f"leaderboard by {metric} ({arrow} best first)",
         f"{'rank':>4}  {'scheme':<18} {'workload':<12} {'scale':<8}"

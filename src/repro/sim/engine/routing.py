@@ -1,28 +1,31 @@
-"""Compiled routing: array-backed lowering of every ``RoutingScheme``.
+"""Compiled routing: the one per-flow path sampler of every scheme.
 
 ``RoutingScheme.compile()`` produces a :class:`CompiledRouting` whose
-``sample`` / ``fraction_entries`` answer the same questions as the
-scheme's ``sample_path`` / ``edge_fractions`` but in terms of dense
+``sample`` draws one flow's path and whose ``fraction_entries`` lowers
+the scheme's ``edge_fractions``, both in dense
 :class:`~repro.core.linktable.LinkTable` ids, backed by flat arrays:
 
 * per-pair path sets become offset-indexed flat link-id arrays
-  (:class:`PathSet`), sampled with the exact ``rng.choice`` draw the
-  scheme makes;
+  (:class:`PathSet`), sampled with one ``rng.choice`` draw;
 * per-hop DAG walks (ECMP, the Shortest-Union VRF walk) run over cached
   next-hop tables with cumulative-weight sampling arrays, consuming one
-  ``rng.random()`` per hop via ``bisect`` exactly as
-  :func:`repro.routing.dag._weighted_choice` does with its linear scan.
+  ``rng.random()`` per hop via ``bisect``.
 
-Bit-for-bit parity with the legacy samplers is a hard requirement — the
-flow simulator's event sequence is a function of the RNG stream — so
-every compiled sampler consumes the underlying ``random.Random`` in
-exactly the legacy order and raises the legacy error types and messages.
-Unknown scheme classes fall back to delegation, so user-defined schemes
-keep working unchanged.
+``RoutingScheme.sample_path`` and every simulator sample through this
+module; there is no second sampler in :mod:`repro.routing`.  The seed
+samplers it replaced (a linear-scan DAG walk per scheme) are kept
+verbatim in ``tests/sim/legacy_reference.py``, and the parity suite
+holds the compiled walks to them bit for bit: the flow simulator's event
+sequence is a function of the RNG stream, so every sampler here consumes
+the underlying ``random.Random`` in exactly the seed order and raises
+the seed error types and messages.  :func:`compile_routing` raises
+``TypeError`` for a scheme class it does not know: a new scheme adds its
+sampler here.
 """
 
 from __future__ import annotations
 
+import abc
 import random
 from bisect import bisect_left
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -47,9 +50,11 @@ SampledPath = Tuple[Path, List[int]]
 #: cumulative weights the hop draw bisects into.
 _HopEntry = Tuple[List[Hashable], List[int], List[float]]
 
-#: Matches ``repro.routing.dag.walk``'s default hop budget.
+#: Hop budget of one DAG walk; a longer walk means the table has a cycle.
 _MAX_HOPS = 1_000
 
+#: Shortest-Union walks resampled on a router-level loop before the
+#: uniform path-set fallback.
 _MAX_LOOP_RESAMPLES = 64
 
 
@@ -85,14 +90,8 @@ class PathSet:
         return self.paths[index], self.links_of(index)
 
 
-class CompiledRouting:
-    """Base: delegation fallback plus shared fraction-entry caching.
-
-    Subclasses override :meth:`sample` with array-backed walks; the base
-    implementation delegates to the scheme's own ``sample_path`` and
-    maps the result onto link ids, so any ``RoutingScheme`` subclass —
-    including user-defined ones — compiles to something usable.
-    """
+class CompiledRouting(abc.ABC):
+    """Base: per-scheme :meth:`sample`, shared path-set and fraction caches."""
 
     def __init__(self, scheme: RoutingScheme, table: LinkTable) -> None:
         self.scheme = scheme
@@ -100,17 +99,13 @@ class CompiledRouting:
         self._fraction_cache: Dict[
             RackPair, Tuple[np.ndarray, np.ndarray]
         ] = {}
+        self._pathsets: Dict[RackPair, PathSet] = {}
 
     # ------------------------------------------------------------------
 
+    @abc.abstractmethod
     def sample(self, src: int, dst: int, rng: random.Random) -> SampledPath:
         """Draw one flow's path; returns (switch path, dense link ids)."""
-        path = self.scheme.sample_path(src, dst, rng)
-        return path, self._links_along(path)
-
-    def sample_path(self, src: int, dst: int, rng: random.Random) -> Path:
-        """Drop-in for ``RoutingScheme.sample_path`` (same RNG stream)."""
-        return self.sample(src, dst, rng)[0]
 
     def fraction_entries(self, src: int, dst: int) -> Tuple[np.ndarray, np.ndarray]:
         """``edge_fractions`` lowered to aligned (link-id, fraction) arrays.
@@ -134,11 +129,14 @@ class CompiledRouting:
             self._fraction_cache[key] = cached
         return cached
 
-    # ------------------------------------------------------------------
-
-    def _links_along(self, path: Path) -> List[int]:
-        table = self.table
-        return [table.id_of(u, v) for u, v in zip(path, path[1:])]
+    def _pathset(self, src: int, dst: int) -> PathSet:
+        """The scheme's enumerated paths for the pair, lowered once."""
+        key = (src, dst)
+        cached = self._pathsets.get(key)
+        if cached is None:
+            cached = PathSet(self.scheme.paths(src, dst), self.table)
+            self._pathsets[key] = cached
+        return cached
 
 
 class _DagWalker:
@@ -179,7 +177,7 @@ class _DagWalker:
 
 
 def _hop_draw(entry: _HopEntry, rng: random.Random) -> int:
-    """One weighted next-hop draw; RNG-identical to the legacy scan."""
+    """One weighted next-hop draw; RNG-identical to the seed's linear scan."""
     cum = entry[2]
     total = cum[-1]
     if total <= 0:
@@ -234,7 +232,6 @@ class _CompiledShortestUnion(CompiledRouting):
         super().__init__(scheme, table)
         self._su = scheme
         self._walker = _DagWalker()
-        self._pathsets: Dict[RackPair, PathSet] = {}
 
     def _entry(self, node: Tuple[int, int], dst: int) -> _HopEntry:
         entry = self._walker.get(node, dst)
@@ -251,15 +248,14 @@ class _CompiledShortestUnion(CompiledRouting):
             )
         return entry
 
-    def _pathset(self, src: int, dst: int) -> PathSet:
-        key = (src, dst)
-        cached = self._pathsets.get(key)
-        if cached is None:
-            cached = PathSet(self._su.paths(src, dst), self.table)
-            self._pathsets[key] = cached
-        return cached
-
     def sample(self, src: int, dst: int, rng: random.Random) -> SampledPath:
+        """Walk the VRF DAG; reject router-level loops as BGP would.
+
+        For K ≤ 2 every DAG walk is already simple.  For larger K the
+        walk is resampled on a loop; after a bounded number of rejections
+        it falls back to a uniform draw from the enumerated path set so
+        pathological pairs cannot stall the simulator.
+        """
         self.scheme._check_pair(src, dst)
         vrf = self._su.vrf
         start = vrf.host_node(src)
@@ -297,19 +293,8 @@ class _CompiledShortestUnion(CompiledRouting):
 class _CompiledChoice(CompiledRouting):
     """Uniform draw over an enumerated path set (K-shortest-paths)."""
 
-    def __init__(self, scheme: RoutingScheme, table: LinkTable) -> None:
-        super().__init__(scheme, table)
-        self._pathsets: Dict[RackPair, PathSet] = {}
-
-    def _pathset(self, src: int, dst: int) -> PathSet:
-        key = (src, dst)
-        cached = self._pathsets.get(key)
-        if cached is None:
-            cached = PathSet(self.scheme.paths(src, dst), self.table)
-            self._pathsets[key] = cached
-        return cached
-
     def sample(self, src: int, dst: int, rng: random.Random) -> SampledPath:
+        self.scheme._check_pair(src, dst)
         return self._pathset(src, dst).sample(rng)
 
 
@@ -369,9 +354,9 @@ class _CompiledAdaptive(CompiledRouting):
 def compile_routing(scheme: RoutingScheme, table: LinkTable) -> CompiledRouting:
     """Lower a routing scheme onto dense link ids.
 
-    Dispatches on the concrete scheme class; unknown classes get the
-    delegation fallback, which preserves behaviour (and RNG streams) by
-    construction at the cost of the legacy per-hop Python work.
+    Dispatches on the scheme class.  A class none of the branches knows
+    raises ``TypeError``: its per-flow sampler must be written here, as
+    a :class:`CompiledRouting` subclass.
     """
     if isinstance(scheme, CoarseAdaptiveRouting):
         return _CompiledAdaptive(scheme, table)
@@ -383,4 +368,7 @@ def compile_routing(scheme: RoutingScheme, table: LinkTable) -> CompiledRouting:
         return _CompiledChoice(scheme, table)
     if isinstance(scheme, VlbRouting):
         return _CompiledVlb(scheme, table)
-    return CompiledRouting(scheme, table)
+    raise TypeError(
+        f"no compiled sampler for {type(scheme).__name__}; add a "
+        "CompiledRouting subclass to compile_routing"
+    )

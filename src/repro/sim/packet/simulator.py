@@ -127,11 +127,11 @@ class PacketSimulator:
         forward: List[LinkQueue] = [self._server_link("up", src_server)]
         reverse: List[LinkQueue] = [self._server_link("up", dst_server)]
         if src_rack != dst_rack:
-            switch_path = self._compiled.sample_path(src_rack, dst_rack, self._rng)
+            switch_path = self._compiled.sample(src_rack, dst_rack, self._rng)[0]
             for u, v in zip(switch_path, switch_path[1:]):
                 forward.append(self._links[("net", u, v)])
             # ACKs take the reverse hash (their own path sample).
-            ack_path = self._compiled.sample_path(dst_rack, src_rack, self._rng)
+            ack_path = self._compiled.sample(dst_rack, src_rack, self._rng)[0]
             for u, v in zip(ack_path, ack_path[1:]):
                 reverse.append(self._links[("net", u, v)])
         else:
@@ -147,7 +147,7 @@ class PacketSimulator:
         dst_rack = self.network.switch_of_server(context.dst_server)
         if src_rack == dst_rack:
             return
-        switch_path = self._compiled.sample_path(src_rack, dst_rack, self._rng)
+        switch_path = self._compiled.sample(src_rack, dst_rack, self._rng)[0]
         forward: List[LinkQueue] = [
             self._server_link("up", context.src_server)
         ]

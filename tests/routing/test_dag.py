@@ -1,4 +1,10 @@
-"""Tests for the next-hop DAG walk/propagation primitives."""
+"""Tests for the next-hop DAG primitives: the compiled walk and propagation.
+
+The per-flow walk is the compiled ECMP sampler
+(:class:`repro.sim.engine.routing._CompiledEcmp`), run here on a
+4-switch diamond s=0 -> a=1, b=2 -> t=3; ``fractions`` is
+:mod:`repro.routing.dag`'s forward propagation on functional DAGs.
+"""
 
 import random
 
@@ -6,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.dag import DagError, fractions, walk
+from repro.core.network import build_network
+from repro.routing import EcmpRouting
+from repro.routing.dag import DagError, fractions
+from repro.sim.engine.routing import _CompiledEcmp
 
 
 def diamond(node):
@@ -30,38 +39,55 @@ def weighted_diamond(node):
     return table[node]
 
 
+def compiled_diamond(heavy_branch=1):
+    """Compiled ECMP on the diamond; ``heavy_branch`` parallel s-a links."""
+    edges = [(0, 1)] * heavy_branch + [(0, 2), (1, 3), (2, 3)]
+    net = build_network(edges, {0: 1, 3: 1}, name="diamond")
+    routing = EcmpRouting(net)
+    return routing, _CompiledEcmp(routing, net.link_table())
+
+
 class TestWalk:
     def test_walk_reaches_destination(self, rng):
-        path = walk(diamond, "s", "t", rng)
-        assert path[0] == "s" and path[-1] == "t"
+        _routing, walker = compiled_diamond()
+        path, links = walker.sample(0, 3, rng)
+        assert path[0] == 0 and path[-1] == 3
         assert len(path) == 3
+        assert [walker.table.pair_of(i) for i in links] == list(
+            zip(path, path[1:])
+        )
 
     def test_walk_uses_both_branches(self):
+        _routing, walker = compiled_diamond()
         rng = random.Random(0)
-        seen = {tuple(walk(diamond, "s", "t", rng)) for _ in range(200)}
-        assert ("s", "a", "t") in seen
-        assert ("s", "b", "t") in seen
+        seen = {walker.sample(0, 3, rng)[0] for _ in range(200)}
+        assert seen == {(0, 1, 3), (0, 2, 3)}
 
     def test_weighted_walk_prefers_heavy_branch(self):
+        _routing, walker = compiled_diamond(heavy_branch=3)
         rng = random.Random(0)
         count_a = sum(
-            1 for _ in range(2000) if walk(weighted_diamond, "s", "t", rng)[1] == "a"
+            1 for _ in range(2000) if walker.sample(0, 3, rng)[0][1] == 1
         )
         assert 0.70 < count_a / 2000 < 0.80
 
-    def test_dead_end_raises(self, rng):
-        def broken(node):
-            return {"s": [("x", 1.0)], "x": []}[node]
+    def test_dead_end_raises(self, rng, monkeypatch):
+        routing, walker = compiled_diamond()
+        monkeypatch.setattr(
+            routing, "next_hops", lambda node, dst: {0: [(1, 1.0)], 1: []}[node]
+        )
+        with pytest.raises(DagError, match="dead end at 1"):
+            walker.sample(0, 3, rng)
 
-        with pytest.raises(DagError):
-            walk(broken, "s", "t", rng)
-
-    def test_cycle_raises(self, rng):
-        def loop(node):
-            return {"s": [("a", 1.0)], "a": [("s", 1.0)]}[node]
-
-        with pytest.raises(DagError):
-            walk(loop, "s", "t", rng, max_hops=10)
+    def test_cycle_raises(self, rng, monkeypatch):
+        routing, walker = compiled_diamond()
+        monkeypatch.setattr(
+            routing,
+            "next_hops",
+            lambda node, dst: {0: [(1, 1.0)], 1: [(0, 1.0)]}[node],
+        )
+        with pytest.raises(DagError, match="walk exceeded 1000 hops"):
+            walker.sample(0, 3, rng)
 
 
 class TestFractions:

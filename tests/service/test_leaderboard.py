@@ -5,7 +5,6 @@ import pytest
 from repro.harness.jobs import JobSpec
 from repro.service.leaderboard import (
     DEFAULT_METRIC,
-    LEADERBOARD_METRICS,
     METRIC_REGISTRY,
     LeaderboardEntry,
     build_leaderboard,
@@ -80,24 +79,19 @@ class TestMetricRegistry:
             "iteration_time", "max_iteration_time",
         }
 
-    def test_back_compat_mapping_stays_in_sync(self):
-        assert set(LEADERBOARD_METRICS) == set(METRIC_REGISTRY)
-        for name, spec in METRIC_REGISTRY.items():
-            assert LEADERBOARD_METRICS[name] == spec.higher_is_better
-
     def test_directions(self):
-        assert LEADERBOARD_METRICS["throughput_gbps"] is True
-        assert LEADERBOARD_METRICS["iteration_time"] is False
+        assert METRIC_REGISTRY["throughput_gbps"].higher_is_better is True
+        assert METRIC_REGISTRY["iteration_time"].higher_is_better is False
 
 
 class TestEntryFromPayload:
     def test_fig4_cell_is_rankable(self):
         made = entry("dring su2", "A2A", 0.002)
-        assert made.num_flows == 4
-        assert made.median_fct_ms == pytest.approx(2.0)
-        assert made.p99_fct_ms == pytest.approx(2.0)
+        assert dict(made.extras) == {"num_flows": 4}
+        assert made.metric("median_fct_ms") == pytest.approx(2.0)
+        assert made.metric("p99_fct_ms") == pytest.approx(2.0)
         # 1e6 B in 2 ms = 4 Gbps per flow
-        assert made.throughput_gbps == pytest.approx(4.0)
+        assert made.metric("throughput_gbps") == pytest.approx(4.0)
 
     def test_non_fig4_payload_not_rankable(self):
         spec = JobSpec.make("selftest", mode="ok")
@@ -132,7 +126,7 @@ class TestEntryFromPayload:
         assert made.experiment == "ml"
         assert made.metric("iteration_time") == pytest.approx(0.004)
         assert made.metric("max_iteration_time") == pytest.approx(0.008)
-        assert made.num_jobs == 3 and made.num_workers == 24
+        assert dict(made.extras) == {"num_jobs": 3, "num_workers": 24}
         # no FCT metrics on an ml entry
         assert made.metric("p99_fct_ms") is None
 
@@ -228,7 +222,8 @@ class TestBuildAndRender:
 
     def test_entry_metric_accessor(self):
         made = entry("dring su2", "A2A", 0.002)
-        assert made.metric("p99_fct_ms") == made.p99_fct_ms
+        assert made.metric("p99_fct_ms") == made.to_dict()["p99_fct_ms"]
+        assert made.metric("num_flows") is None
         assert isinstance(made, LeaderboardEntry)
 
     def test_render_ml_board(self):

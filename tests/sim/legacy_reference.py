@@ -9,6 +9,15 @@ They define the behavior the engine must reproduce bit-for-bit — the
 parity suite asserts exact equality of their outputs, and the benchmark
 suite measures the engine's speedup against them.
 
+The FCT simulator also keeps the seed path samplers, which the routing
+schemes no longer carry: :func:`walk` and :func:`_weighted_choice` (once
+``repro.routing.dag``) and each scheme's ``sample_path`` override, as
+functions of the scheme dispatched by :func:`sample_path`.  They read
+only the scheme's next-hop tables and path sets, never its compiled
+form, so the parity suite compares the compiled walks in
+:mod:`repro.sim.engine.routing` with these linear-scan walks rather than
+with themselves.
+
 Do not modernize this module; its value is that it does not change.
 """
 
@@ -16,12 +25,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bgp.vrf import VrfGraph
 from repro.core.network import Network
-from repro.routing.base import RoutingScheme
+from repro.routing import (
+    CoarseAdaptiveRouting,
+    EcmpRouting,
+    KShortestPathsRouting,
+    ShortestUnionRouting,
+    VlbRouting,
+)
+from repro.routing.base import Path, RoutingScheme
+from repro.routing.dag import DagError
 from repro.sim.maxmin import AllocationError
 from repro.sim.results import FctResults, FlowRecord
 from repro.sim.throughput import RackPair, ThroughputReport
@@ -161,6 +179,124 @@ class LinkIndex:
         return list(self._capacities)
 
 
+Node = Hashable
+NextHops = Callable[[Node], Sequence[Tuple[Node, float]]]
+
+_MAX_LOOP_RESAMPLES = 64
+
+
+def walk(
+    next_hops: NextHops,
+    src: Node,
+    dst: Node,
+    rng: random.Random,
+    max_hops: int = 1_000,
+) -> List[Node]:
+    """Sample one path from src to dst by weighted per-hop choices."""
+    path = [src]
+    node = src
+    for _ in range(max_hops):
+        if node == dst:
+            return path
+        choices = next_hops(node)
+        if not choices:
+            raise DagError(f"dead end at {node!r} walking toward {dst!r}")
+        node = _weighted_choice(choices, rng)
+        path.append(node)
+    raise DagError(f"walk exceeded {max_hops} hops; next_hops is not a DAG")
+
+
+def _weighted_choice(
+    choices: Sequence[Tuple[Node, float]], rng: random.Random
+) -> Node:
+    total = sum(weight for _node, weight in choices)
+    if total <= 0:
+        raise DagError("non-positive total weight in next-hop choice")
+    threshold = rng.random() * total
+    accumulated = 0.0
+    for node, weight in choices:
+        accumulated += weight
+        if accumulated >= threshold:
+            return node
+    return choices[-1][0]
+
+
+def _ecmp_sample_path(
+    self: EcmpRouting, src: int, dst: int, rng: random.Random
+) -> Path:
+    self._check_pair(src, dst)
+    return tuple(
+        walk(lambda node: self.next_hops(node, dst), src, dst, rng)
+    )
+
+
+def _shortest_union_sample_path(
+    self: ShortestUnionRouting, src: int, dst: int, rng: random.Random
+) -> Path:
+    """Walk the VRF DAG; reject router-level loops as BGP would.
+
+    For K ≤ 2 every DAG walk is already simple.  For larger K the
+    walk is resampled on a loop; after a bounded number of rejections
+    we fall back to a uniform draw from the enumerated path set so
+    pathological pairs cannot stall the simulator.
+    """
+    self._check_pair(src, dst)
+    start = self.vrf.host_node(src)
+    goal = self.vrf.host_node(dst)
+    for _attempt in range(_MAX_LOOP_RESAMPLES):
+        vrf_path = walk(
+            lambda node: self.vrf.next_hops(node, dst), start, goal, rng
+        )
+        physical = VrfGraph.project(vrf_path)
+        # Loop-freedom check; paths are a few hops.
+        if len(set(physical)) == len(physical):
+            return physical
+    return rng.choice(self.paths(src, dst))
+
+
+def _ksp_sample_path(
+    self: KShortestPathsRouting, src: int, dst: int, rng: random.Random
+) -> Path:
+    return rng.choice(self.paths(src, dst))
+
+
+def _vlb_sample_path(
+    self: VlbRouting, src: int, dst: int, rng: random.Random
+) -> Path:
+    self._check_pair(src, dst)
+    via = rng.choice(self._intermediates)
+    if via == src or via == dst:
+        return sample_path(self._ecmp, src, dst, rng)
+    first = sample_path(self._ecmp, src, via, rng)
+    second = sample_path(self._ecmp, via, dst, rng)
+    return first + second[1:]
+
+
+def _adaptive_sample_path(
+    self: CoarseAdaptiveRouting, src: int, dst: int, rng: random.Random
+) -> Path:
+    return sample_path(self._active, src, dst, rng)
+
+
+_SEED_SAMPLERS: Tuple[Tuple[type, Callable[..., Path]], ...] = (
+    (EcmpRouting, _ecmp_sample_path),
+    (ShortestUnionRouting, _shortest_union_sample_path),
+    (KShortestPathsRouting, _ksp_sample_path),
+    (VlbRouting, _vlb_sample_path),
+    (CoarseAdaptiveRouting, _adaptive_sample_path),
+)
+
+
+def sample_path(
+    routing: RoutingScheme, src: int, dst: int, rng: random.Random
+) -> Path:
+    """The seed ``routing.sample_path(src, dst, rng)`` for any scheme."""
+    for scheme_class, sampler in _SEED_SAMPLERS:
+        if isinstance(routing, scheme_class):
+            return sampler(routing, src, dst, rng)
+    raise TypeError(f"no seed sampler for {type(routing).__name__}")
+
+
 @dataclass
 class _ActiveFlow:
     flow: Flow
@@ -213,7 +349,7 @@ class LegacyFlowSimulator:
         src_rack = self.network.switch_of_server(src)
         dst_rack = self.network.switch_of_server(dst)
         if src_rack != dst_rack:
-            path = self.routing.sample_path(src_rack, dst_rack, self._rng)
+            path = sample_path(self.routing, src_rack, dst_rack, self._rng)
             for u, v in zip(path, path[1:]):
                 links.append(self._links.id_of(("net", u, v)))
         else:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.core import LinkTable
 from repro.harness.clock import fixed_clock
-from repro.routing import EcmpRouting
+from repro.routing import EcmpRouting, RoutingError, RoutingScheme
 from repro.sim.engine import trace as sim_trace
 from repro.sim.engine import Incidence, SimTrace, collecting, compile_routing
 from repro.topology import dring
+
+from tests.sim.test_engine_parity import SCHEMES
 
 
 class TestLinkTable:
@@ -180,19 +184,59 @@ class TestCompileCaching:
         assert routing.compile(table) is compiled
         assert routing.compile() is compiled  # same cached table
 
-    def test_topology_change_recompiles(self):
+    @pytest.mark.parametrize("mutation", ["remove_link", "capacity_scale"])
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_scheme_refuses_a_mutated_topology(self, scheme, mutation):
         net = dring(6, 2, servers_per_rack=4)
-        routing = EcmpRouting(net)
+        routing = SCHEMES[scheme](net)
+        rng = random.Random(0)
+        # Fill every cache a stale answer could come from.
         compiled = routing.compile()
-        u, v, _m = net.link_table().trunks[0]
-        net.set_link_capacity_scale(u, v, 0.5)
-        assert routing.compile() is not compiled
+        for dst in (2, 5):
+            routing.sample_path(0, dst, rng)
+            routing.paths(0, dst)
+            routing.edge_fractions(0, dst)
+        built = net.topology_version
+        if mutation == "remove_link":
+            net.remove_link(0, 2, count=net.link_mult(0, 2))
+        else:
+            net.set_link_capacity_scale(0, 2, 0.5)
+        stale = (
+            f"topology version {built} but the network is now at "
+            f"version {net.topology_version}"
+        )
+        for query in (
+            lambda: routing.sample_path(0, 2, rng),
+            lambda: routing.paths(0, 5),
+            lambda: routing.edge_fractions(0, 5),
+            routing.compile,
+            lambda: compiled.sample(0, 5, rng),
+        ):
+            with pytest.raises(RoutingError, match=stale):
+                query()
+
+    def test_compile_rejects_a_foreign_table(self, small_dring):
+        other = dring(6, 2, servers_per_rack=4)
+        with pytest.raises(RoutingError, match="its network's link table"):
+            EcmpRouting(small_dring).compile(other.link_table())
+
+    def test_unknown_scheme_class_has_no_sampler(self, small_dring):
+        class Unknown(RoutingScheme):
+            def _compute_paths(self, src, dst):
+                return [(src, dst)]
+
+            def _compute_edge_fractions(self, src, dst):
+                return {(src, dst): 1.0}
+
+        routing = Unknown(small_dring)
+        with pytest.raises(TypeError, match="no compiled sampler for Unknown"):
+            compile_routing(routing, small_dring.link_table())
+        with pytest.raises(TypeError, match="no compiled sampler"):
+            routing.sample_path(0, 5, random.Random(0))
 
     def test_compile_routing_produces_sampling_tables(self, small_dring):
         table = small_dring.link_table()
         compiled = compile_routing(EcmpRouting(small_dring), table)
-        import random
-
         racks = small_dring.racks
         path, links = compiled.sample(racks[0], racks[5], random.Random(0))
         assert path[0] == racks[0] and path[-1] == racks[5]

@@ -28,10 +28,12 @@ from repro.routing import (
     CoarseAdaptiveRouting,
     EcmpRouting,
     KShortestPathsRouting,
+    RoutingScheme,
     ShortestUnionRouting,
     VlbRouting,
 )
 from repro.sim import FlowSimulator, commodity_throughput, simulate_fct
+from repro.sim.engine import CompiledRouting
 from repro.sim.results import fct_table
 from repro.sim.throughput import cs_throughput, place_cs_concrete
 from repro.sim.warmfill import WarmFill
@@ -101,6 +103,28 @@ class TestFctParity:
         _cluster, flows = workload(small_dring)
         engine, legacy = run_both(small_dring, scheme, flows)
         assert_identical_results(engine, legacy)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_legacy_samples_through_seed_walks(
+        self, small_dring, scheme, monkeypatch
+    ):
+        """The oracle never reaches the compiled samplers it checks."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the legacy simulator used compiled routing")
+
+        monkeypatch.setattr(RoutingScheme, "compile", refuse)
+        for compiled in (CompiledRouting, *CompiledRouting.__subclasses__()):
+            monkeypatch.setattr(compiled, "sample", refuse)
+        cluster, flows = workload(small_dring, num_flows=100)
+        legacy = legacy_simulate_fct(
+            small_dring,
+            SCHEMES[scheme](small_dring),
+            Placement(cluster, small_dring),
+            flows,
+        )
+        assert legacy.num_flows == len(flows)
+        assert any(len(record.path) > 1 for record in legacy.records)
 
     @pytest.mark.parametrize("scheme", ["ecmp", "su2", "ksp", "vlb"])
     def test_leafspine_schemes(self, small_leafspine, scheme):
