@@ -7,17 +7,17 @@ through the verbatim seed implementation kept in
 (asserted here too — a fast wrong answer is not a speedup); the engine
 must finish the cell at least 3x faster.
 
-**Large tier** (``REPRO_LARGE_BENCH=1``): the round-2 warm-start engine
-against the round-1 engine frozen in ``tests/sim/engine_r1_reference.py``
-on a 512-rack / 100k-flow fig4 cell.  Gates: bit-identical FlowRecords,
-a >= 10x reduction in allocator link work (the warm-start layer's own
-counters: links actually re-solved vs the link space a cold solve sweeps),
-warm coverage of at least 90% of solves, no wall-clock regression, and a
-tracemalloc peak-memory budget.  Wall clock on this cell is dominated by
-the per-event loop floor both engines share, so the honest single-core
-speedup is modest; the artifact records it alongside the work ratio.
+**Large tier** (``REPRO_LARGE_BENCH=1``): the engine against the
+round-1 engine frozen in ``tests/sim/engine_r1_reference.py`` on a
+512-rack / 100k-flow fig4 cell.  Gates: bit-identical FlowRecords, the
+run invariants of ``tests/sim/certificate.py`` (one record per flow, no
+flow faster than line rate, per-link bytes equal to the bytes of the
+flows that crossed the link), no wall-clock regression, and a
+tracemalloc peak-memory budget.  Both engines solve every event with a
+cold progressive filling and share the per-event loop floor, so the
+single-core speedup is modest.
 
-Timings and counters for both tiers are saved as artifacts.
+Timings for both tiers are saved as artifacts.
 """
 
 import importlib.util
@@ -38,13 +38,12 @@ from repro.sim import FlowSimulator
 _TESTS_SIM = pathlib.Path(__file__).parent.parent / "tests" / "sim"
 _LEGACY_PATH = _TESTS_SIM / "legacy_reference.py"
 _R1_PATH = _TESTS_SIM / "engine_r1_reference.py"
+_CERTIFICATE_PATH = _TESTS_SIM / "certificate.py"
 
 REQUIRED_SPEEDUP = 3.0
 ROUNDS = 3
 
 #: Large-tier gates (see module docstring).
-LARGE_REQUIRED_WORK_REDUCTION = 10.0
-LARGE_REQUIRED_WARM_COVERAGE = 0.90
 LARGE_REQUIRED_SPEEDUP = 1.0
 LARGE_MEMORY_BUDGET_MB = 640.0
 
@@ -162,8 +161,9 @@ def _assert_identical(got, want):
     os.environ.get("REPRO_LARGE_BENCH", "") in ("", "0"),
     reason="large tier runs only with REPRO_LARGE_BENCH=1 (several minutes)",
 )
-def test_bench_large_cell_warm_engine(benchmark):
+def test_bench_large_cell_engine(benchmark):
     r1 = _load_reference(_R1_PATH)
+    certificate = _load_reference(_CERTIFICATE_PATH)
     pattern = {p.label: p for p in fig4_patterns(LARGE, seed=0)}["A2A"]
     tut = build_scheme("DRing (su2)", LARGE, seed=0)
     flows = _pattern_flows(LARGE, pattern, 0, 0.30)
@@ -171,20 +171,20 @@ def test_bench_large_cell_warm_engine(benchmark):
     assert len(flows) == LARGE.max_flows
 
     # Prewarm pass: populates the lazy routing caches both engines share
-    # (path sampling pays a per-source shortest-path solve on first use),
-    # measures the engine's peak memory, and yields the warm counters.
+    # (path sampling pays a per-source shortest-path solve on first use)
+    # and measures the engine's peak memory.
     tracemalloc.start()
     sim = FlowSimulator(tut.network, tut.routing, placement, seed=0)
-    warm_results = sim.run(flows)
+    bytes_before = sim._link_bytes.copy()
+    results = sim.run(flows)
     _, peak_bytes = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    counters = dict(sim.trace.counters)
 
     start = time.perf_counter()
-    warm_timed = FlowSimulator(
-        tut.network, tut.routing, placement, seed=0
-    ).run(flows)
-    warm_seconds = time.perf_counter() - start
+    timed = FlowSimulator(tut.network, tut.routing, placement, seed=0).run(
+        flows
+    )
+    engine_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     r1_results = r1.R1FlowSimulator(
@@ -193,18 +193,11 @@ def test_bench_large_cell_warm_engine(benchmark):
     r1_seconds = time.perf_counter() - start
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    _assert_identical(warm_results, r1_results)
-    _assert_identical(warm_timed, r1_results)
+    _assert_identical(results, r1_results)
+    _assert_identical(timed, r1_results)
+    certificate.assert_run_conserves(sim, flows, results, bytes_before)
 
-    solves = counters["alloc_solves"]
-    warm_solves = counters.get("alloc_warm_solves", 0)
-    coverage = warm_solves / solves
-    # Link work a cold solve would sweep for the warm-handled solves,
-    # vs the links the warm modes actually re-solved.
-    link_space = counters.get("alloc_link_space", 0)
-    resolved = max(counters.get("alloc_resolved_links", 0), 1)
-    work_reduction = link_space / resolved
-    speedup = r1_seconds / warm_seconds
+    speedup = r1_seconds / engine_seconds
     peak_mb = peak_bytes / 1e6
 
     save_artifact(
@@ -212,33 +205,24 @@ def test_bench_large_cell_warm_engine(benchmark):
         "\n".join(
             [
                 "fig4 cell A2A / DRing (su2) / 512 racks / seed 0 "
-                f"({warm_results.num_flows} flows):",
-                f"  r1 engine:   {r1_seconds:.1f} s",
-                f"  warm engine: {warm_seconds:.1f} s",
+                f"({results.num_flows} flows):",
+                f"  r1 engine: {r1_seconds:.1f} s",
+                f"  engine:    {engine_seconds:.1f} s",
                 f"  wall-clock speedup: {speedup:.2f}x (required >= "
                 f"{LARGE_REQUIRED_SPEEDUP:.1f}x; single-core, "
                 "event-loop-floor bound)",
-                f"  warm coverage: {warm_solves}/{solves} solves "
-                f"({coverage:.1%}, required >= "
-                f"{LARGE_REQUIRED_WARM_COVERAGE:.0%})",
-                f"  allocator link work reduction: {work_reduction:.0f}x "
-                f"(required >= {LARGE_REQUIRED_WORK_REDUCTION:.0f}x)",
                 f"  peak memory: {peak_mb:.0f} MB (budget "
                 f"{LARGE_MEMORY_BUDGET_MB:.0f} MB)",
-                f"  records: bit-identical ({warm_results.num_flows} flows)",
+                f"  records: bit-identical ({results.num_flows} flows)",
+                "  run invariants: hold (records, line-rate bound, "
+                "link bytes)",
             ]
         ),
     )
 
-    assert coverage >= LARGE_REQUIRED_WARM_COVERAGE, (
-        f"warm starts covered only {coverage:.1%} of solves"
-    )
-    assert work_reduction >= LARGE_REQUIRED_WORK_REDUCTION, (
-        f"allocator work reduced only {work_reduction:.1f}x"
-    )
     assert speedup >= LARGE_REQUIRED_SPEEDUP, (
-        f"warm engine regressed: {speedup:.2f}x "
-        f"({warm_seconds:.1f}s vs r1 {r1_seconds:.1f}s)"
+        f"engine regressed: {speedup:.2f}x "
+        f"({engine_seconds:.1f}s vs r1 {r1_seconds:.1f}s)"
     )
     assert peak_mb <= LARGE_MEMORY_BUDGET_MB, (
         f"peak memory {peak_mb:.0f} MB over budget"

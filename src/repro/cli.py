@@ -125,17 +125,6 @@ def _run_harness(args: argparse.Namespace, specs, sweep: str):
         timers = trace_totals.get("timers", {})
         parts = [f"{name}={value}" for name, value in counters.items()]
         parts += [f"{name}={seconds:.2f}s" for name, seconds in timers.items()]
-        solves = counters.get("alloc_solves", 0)
-        warm = counters.get("alloc_warm_solves", 0)
-        if solves:
-            # Round-2 engine health at a glance: how often the warm
-            # allocator reused the previous solve, and how small the
-            # re-solved dirty link set was relative to full cold sweeps.
-            parts.append(f"warm_reuse={warm / solves:.1%}")
-        link_space = counters.get("alloc_link_space", 0)
-        if link_space:
-            resolved = counters.get("alloc_resolved_links", 0)
-            parts.append(f"resolved_links_frac={resolved / link_space:.2%}")
         print("  engine: " + " ".join(parts), file=sys.stderr)
     manifest_out = getattr(args, "manifest_out", None)
     if manifest_out:

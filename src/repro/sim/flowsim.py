@@ -18,10 +18,13 @@ link ids come from the network's :class:`~repro.core.linktable.LinkTable`
 are hashed through the scheme's :class:`CompiledRouting`, and the
 flow→link incidence persists across events in a
 :class:`~repro.sim.maxmin.Incidence` updated on admit/finish instead of
-being rebuilt from Python lists at every event.  Entry order is kept in
-admission order throughout, so allocator demand sums and per-link byte
-accounting accumulate floats in exactly the legacy order — results are
-bit-for-bit identical to the per-event rebuild.
+being rebuilt from Python lists at every event.  Each event solves the
+allocation afresh with :func:`~repro.sim.maxmin.fill_levels` over that
+incidence.  Retired flow slots are reused, so per-slot arrays stay as
+long as the most flows alive at once.  Entry order is kept in admission
+order throughout, so allocator demand sums and per-link byte accounting
+accumulate floats in exactly the legacy order — results are bit-for-bit
+identical to the per-event rebuild.
 """
 
 from __future__ import annotations
@@ -35,9 +38,13 @@ import numpy as np
 from repro.core.network import Network
 from repro.routing.base import RoutingScheme
 from repro.sim.engine import trace as sim_trace
-from repro.sim.maxmin import AllocationError, FillScratch, Incidence
+from repro.sim.maxmin import (
+    AllocationError,
+    FillScratch,
+    Incidence,
+    fill_levels,
+)
 from repro.sim.results import FctResults, FlowRecord
-from repro.sim.warmfill import WarmFill
 from repro.traffic.flows import Flow
 from repro.traffic.matrix import Placement
 
@@ -116,25 +123,26 @@ class FlowSimulator:
         #: :func:`fill_levels` to skip its per-event ``np.unique`` sort.
         self._link_refs = np.zeros(len(self._caps), dtype=np.int64)
         self._meta: List[_ActiveFlow] = []
+        #: Retired slot ids, reused before the slot space grows, so every
+        #: per-slot array stays as long as the most flows ever alive at
+        #: once rather than the number admitted so far.
+        self._free_slots: List[int] = []
         self._slot_alive = np.zeros(0, dtype=bool)
         self._remaining = np.zeros(0)
         #: Per-slot bytes drained this event.  Dead slots hold stale
         #: values, which is fine: the incidence only references alive
         #: slots, so stale entries are never gathered.
         self._spent = np.zeros(0)
-        #: Alive slot ids, ascending — maintained incrementally so the
-        #: event loop never scans the full (monotonically growing) slot
-        #: space.  Identical content to ``flatnonzero(slot_alive)``.
+        #: Alive slot ids in admission order, maintained incrementally so
+        #: the event loop never scans the slot space.  Recycled slot ids
+        #: are not ascending; admission order is what keeps records and
+        #: float sums in the legacy order.
         self._alive_ids = np.zeros(0, dtype=np.intp)
         self._alive_n = 0
         self._num_active = 0
         #: Bytes carried per link id, filled during :meth:`run`.
         self._link_bytes = np.zeros(len(self._caps))
         self._elapsed = 0.0
-        #: Warm-start allocator: every solve goes through it, and each is
-        #: bitwise identical to a cold :func:`fill_levels` call, which it
-        #: falls back to whenever its replay cannot prove exactness.
-        self._warm = WarmFill(self._caps)
         #: Instrumentation from the most recent :meth:`run`.
         self.trace = sim_trace.SimTrace()
 
@@ -161,8 +169,8 @@ class FlowSimulator:
     def reset(self, seed: int = 0) -> None:
         """Rearm for a fresh run without rebuilding topology state.
 
-        Drops all per-run mutable state (rng, flow slots, incidence,
-        byte counters, warm-start cache) while keeping the link table,
+        Drops all per-run mutable state (rng, flow slots and the free
+        list, incidence, byte counters) while keeping the link table,
         compiled routing, and grown buffers.  A reset simulator produces
         bit-identical results to a freshly constructed one with the same
         seed: the rng is rebuilt from the seed and the routing caches
@@ -173,6 +181,7 @@ class FlowSimulator:
         self._incidence = Incidence()
         self._link_refs[:] = 0
         self._meta.clear()
+        self._free_slots.clear()
         self._slot_alive[:] = False
         self._remaining[:] = 0.0
         self._spent[:] = 0.0
@@ -180,7 +189,6 @@ class FlowSimulator:
         self._num_active = 0
         self._link_bytes[:] = 0.0
         self._elapsed = 0.0
-        self._warm.reset()
         self.trace = sim_trace.SimTrace()
 
     def _admit(self, flow: Flow) -> np.ndarray:
@@ -206,23 +214,25 @@ class FlowSimulator:
         else:
             path = (src_rack,)
         link_ids = np.asarray(links, dtype=np.intp)
-        slot = len(self._meta)
-        self._meta.append(
-            _ActiveFlow(
-                flow=flow,
-                links=link_ids,
-                path=path,
-                src_server=src,
-                dst_server=dst,
-            )
+        entry = _ActiveFlow(
+            flow=flow,
+            links=link_ids,
+            path=path,
+            src_server=src,
+            dst_server=dst,
         )
-        self._grow_slots(slot + 1)
+        if self._free_slots:
+            slot = self._free_slots.pop()
+            self._meta[slot] = entry
+        else:
+            slot = len(self._meta)
+            self._meta.append(entry)
+            self._grow_slots(slot + 1)
         self._slot_alive[slot] = True
         self._remaining[slot] = flow.size_bytes
         self._alive_ids[self._alive_n] = slot
         self._alive_n += 1
         self._incidence.append(slot, link_ids)
-        self._warm.admit(slot, link_ids)
         self._num_active += 1
         return link_ids
 
@@ -239,8 +249,6 @@ class FlowSimulator:
         now = 0.0
         next_arrival = 0
         inc = self._incidence
-        warm = self._warm
-        warm.counters.clear()
         run_trace = sim_trace.SimTrace()
         run_started = perf()
 
@@ -274,9 +282,10 @@ class FlowSimulator:
             alive = self._alive_ids[: self._alive_n]
 
             allocate_started = perf()
-            levels, iterations = warm.solve(
-                inc.ent, inc.lnk, inc.val, alive_mask,
-                self._link_refs, self._fill_scratch,
+            levels, iterations = fill_levels(
+                inc.ent, inc.lnk, inc.val, self._caps, alive_mask,
+                links=np.flatnonzero(self._link_refs > 0),
+                scratch=self._fill_scratch,
             )
             run_trace.add_time("allocate", perf() - allocate_started)
             run_trace.count("events")
@@ -344,16 +353,14 @@ class FlowSimulator:
                     kept = alive[~done_mask]
                     self._alive_ids[: len(kept)] = kept
                     self._alive_n = len(kept)
-                    warm.retire(done.tolist())
                     self._num_active -= int(done.size)
                     run_trace.count("flows_completed", int(done.size))
                     run_trace.count("retire_cohorts")
                     run_trace.count(sim_trace.cohort_bucket("retire", int(done.size)))
                     inc.compact(self._slot_alive[:nslots])
+                    self._free_slots.extend(done.tolist())
 
         self._elapsed = now
-        for key, value in warm.counters.items():
-            run_trace.count(key, value)
         run_trace.add_time("run", sim_trace.perf_now() - run_started)
         if now > 0.0:
             run_trace.snapshot_utilization("flowsim", self.link_utilization())

@@ -27,7 +27,7 @@ Two entry points share one numpy core (:func:`fill_levels`):
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,32 +42,6 @@ _SUBNORMAL_TINY = 5e-324
 
 class AllocationError(RuntimeError):
     """Raised when the allocation cannot make progress (bad inputs)."""
-
-
-class FillRecorder(Protocol):
-    """Observer for :func:`fill_levels` filling rounds.
-
-    A recorder sees every round of a solve exactly as the solver computed
-    it — the compressed link ids, the demand over them, the chosen
-    increment, and the freeze decision.
-    :mod:`repro.sim.warmfill` uses one to snapshot a solve so the next
-    event can be replayed incrementally instead of re-solved from scratch.
-    Recording never changes a float operation of the solve itself.
-    """
-
-    def on_round(
-        self,
-        links: np.ndarray,
-        demand: np.ndarray,
-        increment: float,
-        current: float,
-        frozen: np.ndarray,
-        sat_mask: np.ndarray,
-        tie_mask: np.ndarray,
-        forced: bool,
-    ) -> None:
-        """One filling round, in compressed link space."""
-        ...
 
 
 def _fit(current: np.ndarray, n: int) -> np.ndarray:
@@ -151,7 +125,6 @@ def fill_levels(
     active: np.ndarray,
     links: Optional[np.ndarray] = None,
     scratch: Optional[FillScratch] = None,
-    recorder: Optional[FillRecorder] = None,
 ) -> Tuple[np.ndarray, int]:
     """Progressive filling on a pre-flattened incidence.
 
@@ -178,11 +151,6 @@ def fill_levels(
         instance so the steady-state solve allocates only its result;
         one-shot callers omit it and pay fresh buffers.  Results are
         identical either way.
-    recorder:
-        Optional :class:`FillRecorder` that observes each round.  The
-        warm-start layer passes one to snapshot the solve; recording
-        adds bookkeeping but changes no float operation, so levels are
-        identical with or without it.
 
     Returns
     -------
@@ -262,8 +230,7 @@ def fill_levels(
         saturated_links = used & (remaining <= saturation)
         touches = saturated_links[w_lnk]
         frozen = w_ent[touches]
-        was_forced = frozen.size == 0
-        if was_forced:
+        if frozen.size == 0:
             # Numerical corner: force the single most-loaded link.
             forced = int(np.argmin(headroom))
             frozen = w_ent[w_lnk == forced]
@@ -273,17 +240,6 @@ def fill_levels(
         w_ent = w_ent[keep]
         w_lnk = w_lnk[keep]
         w_val = w_val[keep]
-        if recorder is not None:
-            recorder.on_round(
-                links,
-                demand,
-                increment,
-                current,
-                frozen,
-                saturated_links,
-                used & (headroom == increment),
-                was_forced,
-            )
 
     return level, iterations
 

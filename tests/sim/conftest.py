@@ -1,6 +1,7 @@
 """Engine tests run under the max-min certificate and the run-level
-invariants: every allocator solve any ``tests/sim`` test triggers is
-checked by :func:`~tests.sim.certificate.assert_max_min_fair`, and every
+invariants: every allocator solve any ``tests/sim`` test triggers, in
+the flow simulator and in the commodity throughput solver, is checked by
+:func:`~tests.sim.certificate.assert_max_min_fair`, and every
 :meth:`FlowSimulator.run` by
 :func:`~tests.sim.certificate.assert_run_conserves`."""
 
@@ -8,25 +9,26 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim import flowsim, throughput
 from repro.sim.flowsim import FlowSimulator
-from repro.sim.warmfill import WarmFill
+from repro.sim.maxmin import fill_levels
 
 from tests.sim.certificate import assert_max_min_fair, assert_run_conserves
 
 
 @pytest.fixture(autouse=True)
 def certified_solves(monkeypatch):
-    """Certify every allocation the engine's allocator returns."""
-    solve = WarmFill.solve
+    """Certify every allocation the simulators' allocator returns."""
 
-    def certified(self, ent, lnk, val, active, link_refs, scratch):
-        levels, iterations = solve(
-            self, ent, lnk, val, active, link_refs, scratch
+    def certified(ent, lnk, val, caps, active, links=None, scratch=None):
+        levels, iterations = fill_levels(
+            ent, lnk, val, caps, active, links=links, scratch=scratch
         )
-        assert_max_min_fair(ent, lnk, val, self.caps, active, levels)
+        assert_max_min_fair(ent, lnk, val, caps, active, levels)
         return levels, iterations
 
-    monkeypatch.setattr(WarmFill, "solve", certified)
+    for module in (flowsim, throughput):
+        monkeypatch.setattr(module, "fill_levels", certified)
 
 
 @pytest.fixture(autouse=True)

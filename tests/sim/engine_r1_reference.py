@@ -1,11 +1,10 @@
 """Verbatim freeze of the round-1 engine (PR 5/PR 9 state of the tree).
 
-The round-2 refactor replaces the from-scratch waterfilling re-solve per
-event with a warm-started allocator.  Its benchmark gate — ``>= 10x on a
-512-rack / 100k-flow fig4 cell with bit-identical records`` — compares
-against *this* module: the array-backed engine exactly as it stood
-before the refactor (persistent incidence, compressed link space, fresh
-``fill_levels`` solve at every event).
+The round-2 engine (event cohorts, reused flow slots) is gated on a
+512-rack / 100k-flow fig4 cell — bit-identical records, no wall-clock
+regression — against *this* module: the array-backed engine exactly as
+it stood before round 2 (persistent incidence, compressed link space,
+fresh ``fill_levels`` solve at every event).
 
 Like ``tests/sim/legacy_reference.py``, this is a reference artifact:
 do not modernize it, do not share code with ``repro.sim`` beyond the

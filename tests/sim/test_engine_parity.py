@@ -32,11 +32,16 @@ from repro.routing import (
     ShortestUnionRouting,
     VlbRouting,
 )
-from repro.sim import FlowSimulator, commodity_throughput, simulate_fct
+from repro.sim import (
+    FlowSimulator,
+    commodity_throughput,
+    flowsim,
+    simulate_fct,
+    throughput,
+)
 from repro.sim.engine import CompiledRouting
 from repro.sim.results import fct_table
 from repro.sim.throughput import cs_throughput, place_cs_concrete
-from repro.sim.warmfill import WarmFill
 from repro.topology import dring, jellyfish, leaf_spine, xpander
 from repro.traffic import (
     CanonicalCluster,
@@ -205,40 +210,69 @@ class TestFctParity:
         assert engine.records[0].fct_seconds == pytest.approx(expected)
 
 
+def capture_solves(monkeypatch, module):
+    """Record every ``fill_levels`` call ``module`` makes.
+
+    Wraps the name the autouse certificate already wrapped, so each
+    recorded solve has passed the certificate before it is returned.
+    """
+    solves = []
+    certified = module.fill_levels
+
+    def capture(ent, lnk, val, caps, active, links=None, scratch=None):
+        levels, iterations = certified(
+            ent, lnk, val, caps, active, links=links, scratch=scratch
+        )
+        solves.append(
+            (ent.copy(), lnk.copy(), val.copy(), caps, active.copy(),
+             levels.copy())
+        )
+        return levels, iterations
+
+    monkeypatch.setattr(module, "fill_levels", capture)
+    return solves
+
+
+def assert_perturbations_rejected(solves):
+    """Moving one entity's level by 1% either way fails the certificate."""
+    for ent, lnk, val, caps, active, levels in solves:
+        entity = ent[active[ent]][0]
+        for factor, failure in [
+            (0.99, "no bottleneck link"), (1.01, "past capacity")
+        ]:
+            perturbed = levels.copy()
+            perturbed[entity] *= factor
+            with pytest.raises(AssertionError, match=failure):
+                assert_max_min_fair(ent, lnk, val, caps, active, perturbed)
+
+
 class TestMaxMinCertificate:
     def test_rejects_perturbed_allocations(self, small_dring, monkeypatch):
         """Moving one flow's level by 1% either way fails the certificate."""
-        solves = []
-        certified = WarmFill.solve
-
-        def capture(self, ent, lnk, val, active, link_refs, scratch):
-            levels, iterations = certified(
-                self, ent, lnk, val, active, link_refs, scratch
-            )
-            solves.append(
-                (ent.copy(), lnk.copy(), val.copy(), self.caps,
-                 active.copy(), levels.copy())
-            )
-            return levels, iterations
-
-        monkeypatch.setattr(WarmFill, "solve", capture)
+        solves = capture_solves(monkeypatch, flowsim)
         cluster, flows = workload(small_dring, num_flows=100)
         simulate_fct(
             small_dring, EcmpRouting(small_dring),
             Placement(cluster, small_dring), flows,
         )
         assert len(solves) > 100
-        for ent, lnk, val, caps, active, levels in solves:
-            flow = ent[active[ent]][0]
-            for factor, failure in [
-                (0.99, "no bottleneck link"), (1.01, "past capacity")
-            ]:
-                perturbed = levels.copy()
-                perturbed[flow] *= factor
-                with pytest.raises(AssertionError, match=failure):
-                    assert_max_min_fair(
-                        ent, lnk, val, caps, active, perturbed
-                    )
+        assert_perturbations_rejected(solves)
+
+    @pytest.mark.parametrize("scheme", ["ecmp", "su2", "vlb"])
+    def test_rejects_perturbed_commodity_allocations(
+        self, small_dring, scheme, monkeypatch
+    ):
+        """The certificate is as sharp on weighted multipath commodities."""
+        solves = capture_solves(monkeypatch, throughput)
+        demands = {
+            (r1, r2): 1.0 + (r1 + 2 * r2) % 5
+            for r1 in small_dring.racks
+            for r2 in small_dring.racks
+            if r1 != r2
+        }
+        commodity_throughput(small_dring, SCHEMES[scheme](small_dring), demands)
+        assert len(solves) == 1
+        assert_perturbations_rejected(solves)
 
 
 class TestThroughputParity:

@@ -1,35 +1,28 @@
-"""Round-2 engine regressions: cohorts, warm starts, reset, counters.
+"""Round-2 engine regressions: cohorts, slot reuse, reset, counters.
 
-The second engine round batches same-timestamp event cohorts and
-replaces most cold allocator solves with warm-start replays
-(:mod:`repro.sim.warmfill`).  Both are pure optimizations: this module
-pins the warm/batched engine bitwise against the verbatim legacy
-reference — with every warm solve also shadow-checked against a cold
-solve, and under big synchronized arrival cohorts — and checks the new
-observability surface (cohort histograms, warm-start counters) plus the
-:meth:`FlowSimulator.reset` contract the phase driver relies on.
-Parity across all six schemes and on fault-degraded networks lives in
-``test_engine_parity.py``.
+The second engine round batches same-timestamp event cohorts and reuses
+retired flow slots.  Both are pure optimizations: this module pins the
+batched engine bitwise against the verbatim legacy reference under big
+synchronized arrival cohorts, checks that the slot space stays as small
+as the most flows alive at once, and checks the observability surface
+(cohort histograms, event counters) plus the :meth:`FlowSimulator.reset`
+contract the phase driver relies on.  Every solve is certified max-min
+fair by ``conftest.py``.  Parity across all six schemes and on
+fault-degraded networks lives in ``test_engine_parity.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.routing import EcmpRouting
 from repro.sim import FlowSimulator, simulate_fct
-from repro.sim import warmfill as warmfill_module
 from repro.sim.engine import trace as sim_trace
 from repro.sim.packet import PacketSimulator
 from repro.traffic import CanonicalCluster, Flow, Placement, generate_flows, uniform
 
 from tests.sim.legacy_reference import legacy_simulate_fct
-from tests.sim.test_engine_parity import (
-    SCHEMES,
-    assert_identical_results,
-    workload,
-)
+from tests.sim.test_engine_parity import assert_identical_results, workload
 
 
 def placement_for(network):
@@ -40,23 +33,9 @@ def placement_for(network):
 
 
 class TestWarmVsColdVsLegacy:
-    """Warm-start engine == cold solves == legacy, bit for bit."""
+    """Batched engine == legacy, bit for bit."""
 
-    @pytest.mark.parametrize("scheme", ["ecmp", "su2", "vlb", "adaptive"])
-    def test_shadow_validated_runs(self, small_dring, scheme, monkeypatch):
-        """Every warm solve shadow-checked against a cold solve in situ."""
-        monkeypatch.setattr(warmfill_module, "_VALIDATE_DEFAULT", True)
-        _cluster, flows = workload(small_dring, num_flows=200)
-        placement = placement_for(small_dring)
-        validated = simulate_fct(
-            small_dring, SCHEMES[scheme](small_dring), placement, flows
-        )
-        legacy = legacy_simulate_fct(
-            small_dring, SCHEMES[scheme](small_dring), placement, flows
-        )
-        assert_identical_results(validated, legacy)
-
-    def test_synchronized_arrivals(self, small_dring, monkeypatch):
+    def test_synchronized_arrivals(self, small_dring):
         """Big same-timestamp admission cohorts stay bit-identical."""
         rng = np.random.default_rng(13)
         flows = []
@@ -66,17 +45,37 @@ class TestWarmVsColdVsLegacy:
                 src, dst = rng.choice(24, size=2, replace=False)
                 flows.append(Flow(int(src), int(dst), 4e5, when))
         placement = placement_for(small_dring)
-        warm = simulate_fct(
+        engine = simulate_fct(
             small_dring, EcmpRouting(small_dring), placement, flows
         )
         legacy = legacy_simulate_fct(
             small_dring, EcmpRouting(small_dring), placement, flows
         )
-        assert_identical_results(warm, legacy)
+        assert_identical_results(engine, legacy)
+
+
+class TestSlotReuse:
+    """Retired flow slots are reused, so per-slot arrays stay small."""
+
+    def test_flows_apart_in_time_share_one_slot(self, small_dring):
+        flows = [
+            Flow(src, 23 - src, 1e5, float(src)) for src in range(12)
+        ]
+        placement = placement_for(small_dring)
+        sim = FlowSimulator(
+            small_dring, EcmpRouting(small_dring), placement, seed=0
+        )
+        results = sim.run(flows)
+        assert results.num_flows == len(flows)
+        assert len(sim._meta) == 1
+        legacy = legacy_simulate_fct(
+            small_dring, EcmpRouting(small_dring), placement, flows
+        )
+        assert_identical_results(results, legacy)
 
 
 class TestEngineCounters:
-    """The round-2 observability surface: cohorts and warm-start rates."""
+    """The round-2 observability surface: cohorts and event counts."""
 
     def run_traced(self, small_dring, flows):
         placement = placement_for(small_dring)
@@ -108,19 +107,6 @@ class TestEngineCounters:
         counters = self.run_traced(small_dring, flows)
         assert counters.get("cohort_admit_5_16", 0) >= 1
 
-    def test_warm_start_counters(self, small_dring):
-        _cluster, flows = workload(small_dring, num_flows=200)
-        counters = self.run_traced(small_dring, flows)
-        assert counters["alloc_solves"] > 0
-        warm = counters.get("alloc_warm_solves", 0)
-        cold = counters.get("alloc_cold_solves", 0)
-        assert warm + cold == counters["alloc_solves"]
-        assert warm > 0  # warm starts must actually engage on this size
-        # Each warm solve adds the full link space to the denominator,
-        # and re-solves strictly fewer links than the space it skipped.
-        assert counters["alloc_link_space"] > 0
-        assert counters["alloc_resolved_links"] < counters["alloc_link_space"]
-
     def test_counters_reach_ambient_collector(self, small_dring):
         _cluster, flows = workload(small_dring, num_flows=100)
         placement = placement_for(small_dring)
@@ -129,7 +115,7 @@ class TestEngineCounters:
                 small_dring, EcmpRouting(small_dring), placement, flows
             )
         assert collector.counters["admit_cohorts"] > 0
-        assert collector.counters["alloc_solves"] > 0
+        assert collector.counters["events"] > 0
 
 
 class TestReset:

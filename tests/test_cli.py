@@ -137,7 +137,7 @@ class TestFaultsCommand:
             if line.startswith("  engine: ")
         ]
         assert len(engine) == 1
-        for field in ("events=", "allocate=", "warm_reuse="):
+        for field in ("events=", "allocate="):
             assert field in engine[0]
         # Warm rerun: same table, every cell a cache hit.  Traces come
         # from execution, not the cache, so there is no engine line.
