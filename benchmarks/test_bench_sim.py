@@ -12,10 +12,12 @@ round-1 engine frozen in ``tests/sim/engine_r1_reference.py`` on a
 512-rack / 100k-flow fig4 cell.  Gates: bit-identical FlowRecords, the
 run invariants of ``tests/sim/certificate.py`` (one record per flow, no
 flow faster than line rate, per-link bytes equal to the bytes of the
-flows that crossed the link), no wall-clock regression, and a
-tracemalloc peak-memory budget.  Both engines solve every event with a
-cold progressive filling and share the per-event loop floor, so the
-single-core speedup is modest.
+flows that crossed the link), a 2x wall-clock speedup, and a
+tracemalloc peak-memory budget.  r1 solves every event with a cold
+progressive filling; the engine solves only events whose flows share a
+link with another live flow, which on this cell is ~5% of them.  Both
+share the rest of the per-event loop (byte accounting, completion
+scheduling).
 
 Timings for both tiers are saved as artifacts.
 """
@@ -44,7 +46,7 @@ REQUIRED_SPEEDUP = 3.0
 ROUNDS = 3
 
 #: Large-tier gates (see module docstring).
-LARGE_REQUIRED_SPEEDUP = 1.0
+LARGE_REQUIRED_SPEEDUP = 2.0
 LARGE_MEMORY_BUDGET_MB = 640.0
 
 #: The 512-rack / 100k-flow cell: DRing(32, 16) with 3072 servers, the
@@ -209,8 +211,7 @@ def test_bench_large_cell_engine(benchmark):
                 f"  r1 engine: {r1_seconds:.1f} s",
                 f"  engine:    {engine_seconds:.1f} s",
                 f"  wall-clock speedup: {speedup:.2f}x (required >= "
-                f"{LARGE_REQUIRED_SPEEDUP:.1f}x; single-core, "
-                "event-loop-floor bound)",
+                f"{LARGE_REQUIRED_SPEEDUP:.1f}x; single-core)",
                 f"  peak memory: {peak_mb:.0f} MB (budget "
                 f"{LARGE_MEMORY_BUDGET_MB:.0f} MB)",
                 f"  records: bit-identical ({results.num_flows} flows)",
@@ -221,7 +222,7 @@ def test_bench_large_cell_engine(benchmark):
     )
 
     assert speedup >= LARGE_REQUIRED_SPEEDUP, (
-        f"engine regressed: {speedup:.2f}x "
+        f"engine only {speedup:.2f}x over r1 "
         f"({engine_seconds:.1f}s vs r1 {r1_seconds:.1f}s)"
     )
     assert peak_mb <= LARGE_MEMORY_BUDGET_MB, (

@@ -18,20 +18,27 @@ link ids come from the network's :class:`~repro.core.linktable.LinkTable`
 are hashed through the scheme's :class:`CompiledRouting`, and the
 flow→link incidence persists across events in a
 :class:`~repro.sim.maxmin.Incidence` updated on admit/finish instead of
-being rebuilt from Python lists at every event.  Each event solves the
-allocation afresh with :func:`~repro.sim.maxmin.fill_levels` over that
-incidence.  Retired flow slots are reused, so per-slot arrays stay as
-long as the most flows alive at once.  Entry order is kept in admission
-order throughout, so allocator demand sums and per-link byte accounting
-accumulate floats in exactly the legacy order — results are bit-for-bit
-identical to the per-event rebuild.
+being rebuilt from Python lists at every event.  Max-min rates
+decompose over the connected components of the flow→link graph, so an
+event whose admissions and previous retirements touch only links no
+other live flow uses keeps every other flow's rate; only the remaining
+events solve the allocation afresh with
+:func:`~repro.sim.maxmin.fill_levels` over that incidence.  Retired flow
+slots are reused, so per-slot arrays stay as long as the most flows
+alive at once.  Entry order is kept in admission order throughout, so
+allocator demand sums and per-link byte accounting accumulate floats in
+exactly the legacy order.  The skipped solves are exact in real
+arithmetic; a cold solve threads all components through one running
+float sum, so it can differ from them in the last bit.  On every
+workload the parity tests check, results are bit-for-bit identical to
+the per-event rebuild.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,6 +136,14 @@ class FlowSimulator:
         self._free_slots: List[int] = []
         self._slot_alive = np.zeros(0, dtype=bool)
         self._remaining = np.zeros(0)
+        #: Per-slot max-min level (Gbps), kept across events so an event
+        #: that changes no live flow's component skips the solve (see
+        #: :meth:`_allocate`).  Dead slots hold stale values, never read.
+        self._levels = np.zeros(0)
+        #: False while a link of the flows retired at the previous event
+        #: still carries a live flow: that retirement changed a live
+        #: flow's component, so the next event must solve.
+        self._retired_alone = True
         #: Per-slot bytes drained this event.  Dead slots hold stale
         #: values, which is fine: the incidence only references alive
         #: slots, so stale entries are never gathered.
@@ -157,12 +172,15 @@ class FlowSimulator:
         alive[: len(self._slot_alive)] = self._slot_alive
         remaining = np.zeros(capacity)
         remaining[: len(self._remaining)] = self._remaining
+        levels = np.zeros(capacity)
+        levels[: len(self._levels)] = self._levels
         spent = np.zeros(capacity)
         spent[: len(self._spent)] = self._spent
         alive_ids = np.zeros(capacity, dtype=np.intp)
         alive_ids[: self._alive_n] = self._alive_ids[: self._alive_n]
         self._slot_alive = alive
         self._remaining = remaining
+        self._levels = levels
         self._spent = spent
         self._alive_ids = alive_ids
 
@@ -184,6 +202,8 @@ class FlowSimulator:
         self._free_slots.clear()
         self._slot_alive[:] = False
         self._remaining[:] = 0.0
+        self._levels[:] = 0.0
+        self._retired_alone = True
         self._spent[:] = 0.0
         self._alive_n = 0
         self._num_active = 0
@@ -191,11 +211,11 @@ class FlowSimulator:
         self._elapsed = 0.0
         self.trace = sim_trace.SimTrace()
 
-    def _admit(self, flow: Flow) -> np.ndarray:
+    def _admit(self, flow: Flow) -> int:
         """Resolve endpoints, hash a path, and register the flow's slot.
 
-        Returns the flow's link ids; the caller folds the whole
-        admission cohort into ``_link_refs`` with one scatter-add.
+        Returns the flow's slot; the caller folds the whole admission
+        cohort's links into ``_link_refs`` with one scatter-add.
         """
         src = self.placement.network_server(flow.src_server)
         dst = self.placement.network_server(flow.dst_server)
@@ -234,7 +254,45 @@ class FlowSimulator:
         self._alive_n += 1
         self._incidence.append(slot, link_ids)
         self._num_active += 1
-        return link_ids
+        return slot
+
+    def _allocate(
+        self,
+        admitted: List[int],
+        delta: Optional[np.ndarray],
+        trace: sim_trace.SimTrace,
+    ) -> np.ndarray:
+        """Max-min levels (Gbps) per slot for this event's live flows.
+
+        ``admitted`` holds the slots admitted at this event and ``delta``
+        their links (None when nothing was admitted).  Max-min rates
+        decompose over the connected components of the flow→link graph
+        (Bertsekas & Gallager, *Data Networks* §6.5).  When every link of
+        every admitted flow carries that flow alone and the flows retired
+        at the previous event left all their links idle, no other live
+        flow's component changed: each admitted flow runs at the smallest
+        capacity on its links and every other flow keeps its level.  Any
+        other event solves all live flows afresh with :func:`fill_levels`.
+        """
+        nslots = len(self._meta)
+        levels = self._levels[:nslots]
+        if self._retired_alone and (
+            delta is None or bool((self._link_refs[delta] == 1).all())
+        ):
+            for slot in admitted:
+                levels[slot] = self._caps[self._meta[slot].links].min()
+            return levels
+        inc = self._incidence
+        solved, iterations = fill_levels(
+            inc.ent, inc.lnk, inc.val, self._caps, self._slot_alive[:nslots],
+            links=np.flatnonzero(self._link_refs > 0),
+            scratch=self._fill_scratch,
+        )
+        levels[:] = solved
+        self._retired_alone = True
+        trace.count("alloc_solves")
+        trace.count("allocator_iterations", iterations)
+        return levels
 
     # ------------------------------------------------------------------
 
@@ -255,41 +313,36 @@ class FlowSimulator:
         while self._num_active or next_arrival < len(arrivals):
             # Admit every flow starting exactly now (zero-width batch);
             # the cohort lands on ``_link_refs`` as one scatter-add.
-            cohort_links: List[np.ndarray] = []
+            cohort: List[int] = []
             while (
                 next_arrival < len(arrivals)
                 and arrivals[next_arrival].start_time <= now + 1e-15
             ):
-                cohort_links.append(self._admit(arrivals[next_arrival]))
+                cohort.append(self._admit(arrivals[next_arrival]))
                 run_trace.count("flows_admitted")
                 next_arrival += 1
-            if cohort_links:
+            delta = None
+            if cohort:
                 delta = (
-                    cohort_links[0]
-                    if len(cohort_links) == 1
-                    else np.concatenate(cohort_links)
+                    self._meta[cohort[0]].links
+                    if len(cohort) == 1
+                    else np.concatenate([self._meta[s].links for s in cohort])
                 )
                 np.add.at(self._link_refs, delta, 1)
                 run_trace.count("admit_cohorts")
-                run_trace.count(sim_trace.cohort_bucket("admit", len(cohort_links)))
+                run_trace.count(sim_trace.cohort_bucket("admit", len(cohort)))
 
             if not self._num_active:
                 now = arrivals[next_arrival].start_time
                 continue
 
             nslots = len(self._meta)
-            alive_mask = self._slot_alive[:nslots]
             alive = self._alive_ids[: self._alive_n]
 
             allocate_started = perf()
-            levels, iterations = fill_levels(
-                inc.ent, inc.lnk, inc.val, self._caps, alive_mask,
-                links=np.flatnonzero(self._link_refs > 0),
-                scratch=self._fill_scratch,
-            )
+            levels = self._allocate(cohort, delta, run_trace)
             run_trace.add_time("allocate", perf() - allocate_started)
             run_trace.count("events")
-            run_trace.count("allocator_iterations", iterations)
             rates_bps = levels[alive]
             rates_bps *= 1e9  # fresh array from the fancy index above
 
@@ -350,6 +403,7 @@ class FlowSimulator:
                         )
                     )
                     np.subtract.at(self._link_refs, retired, 1)
+                    self._retired_alone = not self._link_refs[retired].any()
                     kept = alive[~done_mask]
                     self._alive_ids[: len(kept)] = kept
                     self._alive_n = len(kept)

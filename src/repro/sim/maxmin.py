@@ -55,11 +55,11 @@ class FillScratch:
     """Reusable buffers for :func:`fill_levels`.
 
     One solve needs several O(entities) / O(links) temporaries.  An
-    event-driven caller re-solves after every admission and completion;
-    keeping one instance alive across events turns those per-event
-    allocations into buffer reuses.  Buffers grow geometrically and
-    never shrink, so the steady-state solve allocates nothing but its
-    result.
+    event-driven caller re-solves at every event whose admissions or
+    completions share a link with another live flow; keeping one
+    instance alive across events turns those per-solve allocations into
+    buffer reuses.  Buffers grow geometrically and never shrink, so the
+    steady-state solve allocates nothing but its result.
     """
 
     def __init__(self) -> None:
@@ -116,7 +116,7 @@ class FillScratch:
         return self._unused[:n]
 
 
-# Re-solved after every admission and completion.
+# Re-solved at every event whose flows share a link with another flow.
 def fill_levels(
     ent: np.ndarray,
     lnk: np.ndarray,

@@ -1,7 +1,7 @@
 """Engine tests run under the max-min certificate and the run-level
-invariants: every allocator solve any ``tests/sim`` test triggers, in
-the flow simulator and in the commodity throughput solver, is checked by
-:func:`~tests.sim.certificate.assert_max_min_fair`, and every
+invariants: every flow-simulator event's allocation, solved or skipped,
+and every commodity throughput solve any ``tests/sim`` test triggers is
+checked by :func:`~tests.sim.certificate.assert_max_min_fair`, and every
 :meth:`FlowSimulator.run` by
 :func:`~tests.sim.certificate.assert_run_conserves`."""
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import flowsim, throughput
+from repro.sim import throughput
 from repro.sim.flowsim import FlowSimulator
 from repro.sim.maxmin import fill_levels
 
@@ -18,7 +18,16 @@ from tests.sim.certificate import assert_max_min_fair, assert_run_conserves
 
 @pytest.fixture(autouse=True)
 def certified_solves(monkeypatch):
-    """Certify every allocation the simulators' allocator returns."""
+    """Certify every event's allocation over the full live incidence,
+    and every allocation the throughput solver's allocator returns."""
+    allocate = FlowSimulator._allocate
+
+    def certified_event(self, *args):
+        levels = allocate(self, *args)
+        inc = self._incidence
+        alive = self._slot_alive[: len(self._meta)]
+        assert_max_min_fair(inc.ent, inc.lnk, inc.val, self._caps, alive, levels)
+        return levels
 
     def certified(ent, lnk, val, caps, active, links=None, scratch=None):
         levels, iterations = fill_levels(
@@ -27,8 +36,8 @@ def certified_solves(monkeypatch):
         assert_max_min_fair(ent, lnk, val, caps, active, levels)
         return levels, iterations
 
-    for module in (flowsim, throughput):
-        monkeypatch.setattr(module, "fill_levels", certified)
+    monkeypatch.setattr(FlowSimulator, "_allocate", certified_event)
+    monkeypatch.setattr(throughput, "fill_levels", certified)
 
 
 @pytest.fixture(autouse=True)

@@ -35,11 +35,11 @@ from repro.routing import (
 from repro.sim import (
     FlowSimulator,
     commodity_throughput,
-    flowsim,
     simulate_fct,
     throughput,
 )
 from repro.sim.engine import CompiledRouting
+from repro.sim.engine import trace as sim_trace
 from repro.sim.results import fct_table
 from repro.sim.throughput import cs_throughput, place_cs_concrete
 from repro.topology import dring, jellyfish, leaf_spine, xpander
@@ -106,8 +106,13 @@ class TestFctParity:
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_dring_all_schemes(self, small_dring, scheme):
         _cluster, flows = workload(small_dring)
-        engine, legacy = run_both(small_dring, scheme, flows)
+        with sim_trace.collecting() as collector:
+            engine, legacy = run_both(small_dring, scheme, flows)
         assert_identical_results(engine, legacy)
+        # The legacy side solves every event; the engine skips those
+        # that change no other flow's component, so parity covers both.
+        counters = collector.counters
+        assert 0 < counters["alloc_solves"] < counters["events"]
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_legacy_samples_through_seed_walks(
@@ -210,14 +215,38 @@ class TestFctParity:
         assert engine.records[0].fct_seconds == pytest.approx(expected)
 
 
-def capture_solves(monkeypatch, module):
-    """Record every ``fill_levels`` call ``module`` makes.
+def capture_events(monkeypatch):
+    """Record every event's allocation over the full live incidence.
+
+    Wraps the method the autouse certificate already wrapped, so each
+    recorded allocation, solved or skipped, has passed the certificate
+    before it is returned.
+    """
+    events = []
+    certified = FlowSimulator._allocate
+
+    def capture(self, *args):
+        levels = certified(self, *args)
+        inc = self._incidence
+        alive = self._slot_alive[: len(self._meta)]
+        events.append(
+            (inc.ent.copy(), inc.lnk.copy(), inc.val.copy(), self._caps,
+             alive.copy(), levels.copy())
+        )
+        return levels
+
+    monkeypatch.setattr(FlowSimulator, "_allocate", capture)
+    return events
+
+
+def capture_solves(monkeypatch):
+    """Record every ``fill_levels`` call the throughput solver makes.
 
     Wraps the name the autouse certificate already wrapped, so each
     recorded solve has passed the certificate before it is returned.
     """
     solves = []
-    certified = module.fill_levels
+    certified = throughput.fill_levels
 
     def capture(ent, lnk, val, caps, active, links=None, scratch=None):
         levels, iterations = certified(
@@ -229,7 +258,7 @@ def capture_solves(monkeypatch, module):
         )
         return levels, iterations
 
-    monkeypatch.setattr(module, "fill_levels", capture)
+    monkeypatch.setattr(throughput, "fill_levels", capture)
     return solves
 
 
@@ -248,22 +277,23 @@ def assert_perturbations_rejected(solves):
 
 class TestMaxMinCertificate:
     def test_rejects_perturbed_allocations(self, small_dring, monkeypatch):
-        """Moving one flow's level by 1% either way fails the certificate."""
-        solves = capture_solves(monkeypatch, flowsim)
+        """Moving one flow's level by 1% either way fails the certificate,
+        at solved and skipped events alike."""
+        events = capture_events(monkeypatch)
         cluster, flows = workload(small_dring, num_flows=100)
         simulate_fct(
             small_dring, EcmpRouting(small_dring),
             Placement(cluster, small_dring), flows,
         )
-        assert len(solves) > 100
-        assert_perturbations_rejected(solves)
+        assert len(events) > 100
+        assert_perturbations_rejected(events)
 
     @pytest.mark.parametrize("scheme", ["ecmp", "su2", "vlb"])
     def test_rejects_perturbed_commodity_allocations(
         self, small_dring, scheme, monkeypatch
     ):
         """The certificate is as sharp on weighted multipath commodities."""
-        solves = capture_solves(monkeypatch, throughput)
+        solves = capture_solves(monkeypatch)
         demands = {
             (r1, r2): 1.0 + (r1 + 2 * r2) % 5
             for r1 in small_dring.racks

@@ -6,9 +6,10 @@ batched engine bitwise against the verbatim legacy reference under big
 synchronized arrival cohorts, checks that the slot space stays as small
 as the most flows alive at once, and checks the observability surface
 (cohort histograms, event counters) plus the :meth:`FlowSimulator.reset`
-contract the phase driver relies on.  Every solve is certified max-min
-fair by ``conftest.py``.  Parity across all six schemes and on
-fault-degraded networks lives in ``test_engine_parity.py``.
+contract the phase driver relies on.  Every event's allocation, solved
+or skipped, is certified max-min fair by ``conftest.py``.  Parity across
+all six schemes and on fault-degraded networks lives in
+``test_engine_parity.py``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class TestSlotReuse:
         results = sim.run(flows)
         assert results.num_flows == len(flows)
         assert len(sim._meta) == 1
+        # Each flow is alone on its links, so no event solves.
+        assert sim.trace.counters["events"] == 12
+        assert "alloc_solves" not in sim.trace.counters
         legacy = legacy_simulate_fct(
             small_dring, EcmpRouting(small_dring), placement, flows
         )
@@ -75,7 +79,7 @@ class TestSlotReuse:
 
 
 class TestEngineCounters:
-    """The round-2 observability surface: cohorts and event counts."""
+    """The round-2 observability surface: cohorts, events and solves."""
 
     def run_traced(self, small_dring, flows):
         placement = placement_for(small_dring)
@@ -106,6 +110,13 @@ class TestEngineCounters:
         ]
         counters = self.run_traced(small_dring, flows)
         assert counters.get("cohort_admit_5_16", 0) >= 1
+
+    def test_shared_uplink_solves(self, small_dring):
+        """Two flows leaving server 0 share its uplink: one solve."""
+        flows = [Flow(0, 5, 2e5, 0.0), Flow(0, 17, 2e5, 0.0)]
+        counters = self.run_traced(small_dring, flows)
+        assert counters["events"] == 1
+        assert counters["alloc_solves"] == 1
 
     def test_counters_reach_ambient_collector(self, small_dring):
         _cluster, flows = workload(small_dring, num_flows=100)
