@@ -86,14 +86,11 @@ def test_bench_fig4_medium_scale_confirmation(benchmark):
     advantage grows with scale and skew, as the paper's full-size runs
     show (their headline is up to 7x at 3072 servers)."""
     from repro.experiments import MEDIUM
-    from repro.experiments.fig4_fct import PatternSpec
-    from repro.traffic import fb_skewed
 
-    patterns = [PatternSpec("FB skewed", fb_skewed(MEDIUM.cluster, seed=0))]
     result = benchmark.pedantic(
         run_fig4,
         args=(MEDIUM,),
-        kwargs={"seed": 0, "patterns": patterns},
+        kwargs={"seed": 0, "patterns": ["FB skewed"]},
         rounds=1,
         iterations=1,
     )

@@ -21,12 +21,12 @@ Exposes the library's main workflows without writing any Python:
 * ``lint``             — domain-aware static analysis (see repro.lint)
 * ``configs``          — emit per-router Cisco or FRR configurations
 
-The figure commands accept ``--jobs N`` / ``--cache-dir`` /
-``--no-cache`` to route through the ``repro.harness`` orchestrator:
-cells run in parallel worker processes and results are memoized in a
-content-addressed on-disk cache, so re-rendering a figure is
-incremental.  Tables on stdout are byte-identical either way; harness
-telemetry goes to stderr.
+``fig4``, ``fig6``, ``sweep``, ``faults`` and ``ml`` run their cells
+through the ``repro.harness`` orchestrator: ``--jobs N`` worker
+processes, results memoized in a content-addressed on-disk cache
+(``--cache-dir``, or none with ``--no-cache``), so re-rendering a figure
+is incremental.  ``fig5`` joins them only when given one of those flags.
+Harness telemetry goes to stderr; stdout carries only the tables.
 """
 
 from __future__ import annotations
@@ -38,13 +38,11 @@ from typing import Any, Dict, List, Optional
 
 from repro.experiments.runner import SCALES, Scale
 
-_SCALES = SCALES  # historical alias; the registry lives in runner
-
 
 def _scale_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
-        choices=sorted(_SCALES),
+        choices=sorted(SCALES),
         default="small",
         help="experiment size (default: small)",
     )
@@ -56,8 +54,7 @@ def _harness_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="run cells through the sweep harness with N worker "
-        "processes (enables result caching)",
+        help="run cells in N worker processes (default: 1)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -69,12 +66,6 @@ def _harness_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="run through the harness without reading or writing the cache",
-    )
-
-
-def _wants_harness(args: argparse.Namespace) -> bool:
-    return (
-        args.jobs is not None or args.cache_dir is not None or args.no_cache
     )
 
 
@@ -191,7 +182,7 @@ def _build_topology(kind: str, scale: Scale, seed: int = 0):
 def cmd_summarize(args: argparse.Namespace) -> int:
     from repro.core import summarize, summary_table
 
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     networks = [
         _build_topology(kind, scale, seed=args.seed)
         for kind in ("leaf-spine", "rrg", "dring")
@@ -208,15 +199,10 @@ def cmd_udf(args: argparse.Namespace) -> int:
 
 
 def cmd_fig4(args: argparse.Namespace) -> int:
-    if _wants_harness(args):
-        from repro.harness import assemble_fig4, fig4_jobs
+    from repro.harness import assemble_fig4, fig4_jobs
 
-        specs = fig4_jobs(args.scale, seed=args.seed)
-        result = assemble_fig4(specs, _run_harness(args, specs, "fig4"))
-    else:
-        from repro.experiments import run_fig4
-
-        result = run_fig4(_SCALES[args.scale], seed=args.seed)
+    specs = fig4_jobs(args.scale, seed=args.seed)
+    result = assemble_fig4(specs, _run_harness(args, specs, "fig4"))
     print(result.median_table())
     print()
     print(result.p99_table())
@@ -224,7 +210,10 @@ def cmd_fig4(args: argparse.Namespace) -> int:
 
 
 def cmd_fig5(args: argparse.Namespace) -> int:
-    if _wants_harness(args):
+    # Figure 5 keeps its in-process grid unless harness flags are given:
+    # a panel's 16 cells share one routing's edge-fraction cache, which
+    # per-cell jobs would each rebuild.
+    if args.jobs is not None or args.cache_dir is not None or args.no_cache:
         from repro.harness import assemble_fig5, fig5_jobs
 
         specs = fig5_jobs(args.scale, seed=args.seed)
@@ -232,7 +221,7 @@ def cmd_fig5(args: argparse.Namespace) -> int:
     else:
         from repro.experiments import run_fig5
 
-        panels = run_fig5(_SCALES[args.scale], seed=args.seed)
+        panels = run_fig5(SCALES[args.scale], seed=args.seed)
     for key in ("ecmp", "su2"):
         print(panels[key].render())
         print()
@@ -240,17 +229,11 @@ def cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def cmd_fig6(args: argparse.Namespace) -> int:
-    from repro.experiments import Fig6Config, render_fig6
+    from repro.experiments import render_fig6
+    from repro.harness import assemble_fig6, fig6_jobs
 
-    if _wants_harness(args):
-        from repro.harness import assemble_fig6, fig6_jobs
-
-        specs = fig6_jobs(seed=args.seed)
-        points = assemble_fig6(specs, _run_harness(args, specs, "fig6"))
-    else:
-        from repro.experiments import run_fig6
-
-        points = run_fig6(Fig6Config(), seed=args.seed)
+    specs = fig6_jobs(seed=args.seed)
+    points = assemble_fig6(specs, _run_harness(args, specs, "fig6"))
     print(render_fig6(points))
     return 0
 
@@ -313,29 +296,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sweep_jobs,
     )
 
-    specs = sweep_jobs(args.experiment, args.scale, seed=args.seed)
+    # Each assembler reads only its own sweep's specs.
+    sweeps = [
+        (name, sweep_jobs([name], args.scale, seed=args.seed))
+        for name in args.experiment
+    ]
+    specs = [spec for _name, own in sweeps for spec in own]
     results = _run_harness(args, specs, "+".join(args.experiment))
-    for name in args.experiment:
+    for name, own in sweeps:
         if name == "fig4":
-            fig4 = assemble_fig4(specs, results)
+            fig4 = assemble_fig4(own, results)
             print(fig4.median_table())
             print()
             print(fig4.p99_table())
         elif name == "fig5":
-            panels = assemble_fig5(specs, results)
+            panels = assemble_fig5(own, results)
             for key in ("ecmp", "su2"):
                 if key in panels:
                     print(panels[key].render())
         elif name == "fig6":
-            print(render_fig6(assemble_fig6(specs, results)))
+            print(render_fig6(assemble_fig6(own, results)))
         elif name == "robustness":
-            print(render_robustness(assemble_robustness(specs, results)))
+            print(render_robustness(assemble_robustness(own, results)))
         elif name == "ablations":
-            print(_render_ablation_results(specs, results))
+            print(_render_ablation_results(own, results))
         elif name == "faults":
-            print(render_failure_sweep(assemble_faults(specs, results)))
+            print(render_failure_sweep(assemble_faults(own, results)))
         elif name == "ml":
-            print(render_ml_sweep(assemble_ml(specs, results)))
+            print(render_ml_sweep(assemble_ml(own, results)))
         print()
     return 0
 
@@ -638,7 +626,7 @@ def cmd_leaderboard(args: argparse.Namespace) -> int:
 def cmd_microburst(args: argparse.Namespace) -> int:
     from repro.experiments import render_microburst, run_microburst
 
-    print(render_microburst(run_microburst(_SCALES[args.scale], seed=args.seed)))
+    print(render_microburst(run_microburst(SCALES[args.scale], seed=args.seed)))
     return 0
 
 
@@ -655,7 +643,7 @@ def cmd_other_topologies(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.bgp import verify_fabric
 
-    network = _build_topology(args.topology, _SCALES[args.scale], seed=args.seed)
+    network = _build_topology(args.topology, SCALES[args.scale], seed=args.seed)
     stats = verify_fabric(network, args.k)
     print(
         f"{network.name}: Theorem 1 and Shortest-Union({args.k}) verified "
@@ -668,7 +656,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from repro.core.export import to_dot, to_json
 
-    network = _build_topology(args.topology, _SCALES[args.scale], seed=args.seed)
+    network = _build_topology(args.topology, SCALES[args.scale], seed=args.seed)
     text = to_dot(network) if args.format == "dot" else to_json(network)
     if args.out == "-":
         print(text)
@@ -683,7 +671,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     timings = generate_report(
         pathlib.Path(args.out),
-        scale=_SCALES[args.scale],
+        scale=SCALES[args.scale],
         seed=args.seed,
         only=args.only,
     )
@@ -773,7 +761,7 @@ def cmd_configs(args: argparse.Namespace) -> int:
     from repro.bgp import ConfigGenerator
     from repro.bgp.frr import FrrConfigGenerator
 
-    network = _build_topology(args.topology, _SCALES[args.scale], seed=args.seed)
+    network = _build_topology(args.topology, SCALES[args.scale], seed=args.seed)
     generator_cls = (
         FrrConfigGenerator if args.format == "frr" else ConfigGenerator
     )

@@ -10,14 +10,12 @@ with the sparse-pattern correction of Section 6.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import (
     SMALL,
     Scale,
-    TopologyUnderTest,
     build_scheme,
-    build_suite,
     scheme_labels,
 )
 from repro.sim.flowsim import simulate_fct
@@ -107,34 +105,6 @@ def _pattern_flows(scale: Scale, pattern: PatternSpec, seed: int,
     )
 
 
-def run_fig4(
-    scale: Scale = SMALL,
-    seed: int = 0,
-    patterns: List[PatternSpec] = None,
-    suite: List[TopologyUnderTest] = None,
-    utilization: float = 0.30,
-) -> Fig4Result:
-    """Run the full Figure 4 grid at the given scale."""
-    if patterns is None:
-        patterns = fig4_patterns(scale, seed=seed)
-    if suite is None:
-        suite = build_suite(scale, seed=seed)
-
-    rows: Dict[str, Dict[str, FctResults]] = {}
-    for pattern in patterns:
-        flows = _pattern_flows(scale, pattern, seed, utilization)
-        by_scheme: Dict[str, FctResults] = {}
-        for tut in suite:
-            placement = tut.placement(
-                shuffle=pattern.random_placement, seed=seed
-            )
-            by_scheme[tut.label] = simulate_fct(
-                tut.network, tut.routing, placement, flows, seed=seed
-            )
-        rows[pattern.label] = by_scheme
-    return Fig4Result(rows=rows)
-
-
 def run_fig4_cell(
     scale: Scale,
     pattern: str,
@@ -144,10 +114,10 @@ def run_fig4_cell(
 ) -> FctResults:
     """One Figure 4 grid cell, independently executable.
 
-    This is the sweep-harness unit of work: the flow workload is
-    regenerated from the same seeded recipe ``run_fig4`` uses, so a cell
-    computed in isolation is bit-identical to its value inside the full
-    serial grid.
+    The only place a Figure 4 record is computed: ``run_fig4``, the
+    sweep harness, the service and the robustness scorecard all run
+    this.  Each call rebuilds its scheme and regenerates the column's
+    seeded workload, so every scheme in a column sees the same flows.
     """
     by_label = {p.label: p for p in fig4_patterns(scale, seed=seed)}
     try:
@@ -166,20 +136,16 @@ def run_fig4_cell(
 
 def fig4_result_from_cells(
     cells: Dict[Tuple[str, str], FctResults],
-    patterns: List[str] = None,
-    schemes: List[str] = None,
+    patterns: Sequence[str],
+    schemes: Sequence[str],
 ) -> Fig4Result:
     """Assemble a :class:`Fig4Result` from per-cell results.
 
     ``cells`` maps ``(pattern label, scheme label)`` to results; missing
     cells (a failed sweep job) simply leave a hole the table renders as
-    ``-``.  Pattern order follows the paper figure so the assembled
-    tables match the serial path byte for byte.
+    ``-``.  Rows and columns follow ``patterns`` and ``schemes``, so the
+    tables render the same whichever way the cells were run.
     """
-    if patterns is None:
-        patterns = [p for p, _s in cells]
-    if schemes is None:
-        schemes = scheme_labels()
     rows: Dict[str, Dict[str, FctResults]] = {}
     for pattern in dict.fromkeys(patterns):
         by_scheme = {
@@ -190,3 +156,29 @@ def fig4_result_from_cells(
         if by_scheme:
             rows[pattern] = by_scheme
     return Fig4Result(rows=rows)
+
+
+def run_fig4(
+    scale: Scale = SMALL,
+    seed: int = 0,
+    patterns: Optional[Sequence[str]] = None,
+    schemes: Optional[Sequence[str]] = None,
+    utilization: float = 0.30,
+) -> Fig4Result:
+    """Run the Figure 4 grid at the given scale, one cell at a time.
+
+    ``patterns`` and ``schemes`` are labels, as ``fig4_jobs`` takes
+    them; by default the full seven-pattern, five-scheme grid.
+    """
+    if patterns is None:
+        patterns = [p.label for p in fig4_patterns(scale, seed=seed)]
+    if schemes is None:
+        schemes = scheme_labels()
+    cells = {
+        (pattern, scheme): run_fig4_cell(
+            scale, pattern, scheme, seed=seed, utilization=utilization
+        )
+        for pattern in patterns
+        for scheme in schemes
+    }
+    return fig4_result_from_cells(cells, patterns, schemes)

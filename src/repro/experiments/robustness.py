@@ -5,24 +5,37 @@ re-runs the core Figure 4 / Figure 5 claims across several workload
 seeds and reports, per claim, in how many runs it held.  The claims are
 deliberately the qualitative statements EXPERIMENTS.md records —
 orderings and factor bounds, not absolute numbers.
+
+The claims read ordinary Figure 4 and Figure 5 cells, computed by
+``run_fig4_cell`` and ``run_fig5_cell`` as every other consumer computes
+them, so through the harness the scorecard shares its cells' cache
+entries with ``repro fig4`` and keeps no grid of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.experiments.fig4_fct import PatternSpec, run_fig4
+from repro.experiments.fig4_fct import run_fig4_cell
+from repro.experiments.fig5_heatmap import run_fig5_cell
 from repro.experiments.runner import SMALL, Scale
-from repro.routing import EcmpRouting, ShortestUnionRouting
-from repro.sim.throughput import cs_throughput
-from repro.topology import dring, leaf_spine
-from repro.traffic import cs_skewed_fig4, fb_skewed, rack_to_rack, uniform
 
 LEAF = "leaf-spine (ecmp)"
 DRING_SU2 = "DRing (su2)"
 DRING_ECMP = "DRing (ecmp)"
 RRG_SU2 = "RRG (su2)"
+
+#: Every cell the claims read, per seed: eleven Figure 4 cells as
+#: pattern -> schemes, and the Figure 5 ``(DRing routing, clients,
+#: servers)`` cell of the skewed C-S throughput claim.
+FIG4_CELLS: Dict[str, Tuple[str, ...]] = {
+    "A2A": (LEAF, DRING_SU2, RRG_SU2),
+    "R2R": (DRING_SU2, DRING_ECMP),
+    "CS skewed": (LEAF, DRING_SU2, RRG_SU2),
+    "FB skewed": (LEAF, DRING_SU2, RRG_SU2),
+}
+FIG5_CELL: Tuple[str, int, int] = ("su2", 24, 96)
 
 
 @dataclass(frozen=True)
@@ -38,54 +51,33 @@ class ClaimResult:
         return self.passes / self.runs
 
 
-def _fig4_lite(scale: Scale, seed: int):
-    patterns = [
-        PatternSpec("A2A", uniform(scale.cluster)),
-        PatternSpec("R2R", rack_to_rack(scale.cluster)),
-        PatternSpec("CS skewed", cs_skewed_fig4(scale.cluster, seed=seed)),
-        PatternSpec("FB skewed", fb_skewed(scale.cluster, seed=seed)),
-    ]
-    return run_fig4(scale, seed=seed, patterns=patterns)
+def seed_claims(
+    p99: Mapping[Tuple[str, str], float], cs: Mapping[str, float]
+) -> Dict[str, bool]:
+    """Every claim at one seed, from that seed's cells.
 
-
-def run_robustness_cell(scale: Scale, seed: int) -> Dict[str, bool]:
-    """Evaluate every claim at one seed — the harness unit of work."""
-    return _claims(scale, seed)
-
-
-def _claims(scale: Scale, seed: int) -> Dict[str, bool]:
-    fig4 = _fig4_lite(scale, seed)
-
-    def p99(pattern: str, scheme: str) -> float:
-        return fig4.rows[pattern][scheme].p99_fct_ms()
-
-    ls = leaf_spine(scale.leaf_x, scale.leaf_y)
-    ring = dring(
-        scale.dring_m, scale.dring_n, total_servers=scale.dring_servers
-    )
-    skew_ls = cs_throughput(ls, EcmpRouting(ls), 24, 96, seed=seed)
-    skew_dr = cs_throughput(
-        ring, ShortestUnionRouting(ring, 2), 24, 96, seed=seed
-    )
-
+    ``p99`` maps each ``(pattern, scheme)`` of :data:`FIG4_CELLS` to its
+    p99 FCT (ms); ``cs`` is the :data:`FIG5_CELL` payload
+    (``dring_gbps``, ``leafspine_gbps``).
+    """
     return {
         "flat beats leaf-spine on CS-skewed tail": (
-            min(p99("CS skewed", DRING_SU2), p99("CS skewed", RRG_SU2))
-            < p99("CS skewed", LEAF)
+            min(p99["CS skewed", DRING_SU2], p99["CS skewed", RRG_SU2])
+            < p99["CS skewed", LEAF]
         ),
         "flat beats leaf-spine on FB-skewed tail": (
-            min(p99("FB skewed", DRING_SU2), p99("FB skewed", RRG_SU2))
-            < p99("FB skewed", LEAF)
+            min(p99["FB skewed", DRING_SU2], p99["FB skewed", RRG_SU2])
+            < p99["FB skewed", LEAF]
         ),
         "SU(2) <= ECMP on DRing R2R tail": (
-            p99("R2R", DRING_SU2) <= p99("R2R", DRING_ECMP) * 1.05
+            p99["R2R", DRING_SU2] <= p99["R2R", DRING_ECMP] * 1.05
         ),
         "uniform comparable (within 2x)": (
-            max(p99("A2A", DRING_SU2), p99("A2A", RRG_SU2))
-            < 2.0 * p99("A2A", LEAF)
+            max(p99["A2A", DRING_SU2], p99["A2A", RRG_SU2])
+            < 2.0 * p99["A2A", LEAF]
         ),
         "skewed C-S throughput gain > 1.3x": (
-            skew_dr.mean_flow_gbps > 1.3 * skew_ls.mean_flow_gbps
+            cs["dring_gbps"] > 1.3 * cs["leafspine_gbps"]
         ),
     }
 
@@ -95,32 +87,38 @@ def robustness_from_cells(
 ) -> List[ClaimResult]:
     """Aggregate per-seed claim outcomes into the scorecard.
 
-    ``runs`` counts the cells actually present, so a failed sweep job
-    shrinks the denominator instead of killing the scorecard.
+    ``runs`` counts the seeds actually present, so a seed with a failed
+    sweep cell shrinks the denominator instead of killing the scorecard.
     """
     tallies: Dict[str, int] = {}
-    order: List[str] = []
     for outcomes in per_seed:
         for claim, held in outcomes.items():
-            if claim not in tallies:
-                tallies[claim] = 0
-                order.append(claim)
-            tallies[claim] += int(held)
+            tallies[claim] = tallies.get(claim, 0) + int(held)
     return [
-        ClaimResult(claim=claim, passes=tallies[claim], runs=len(per_seed))
-        for claim in order
+        ClaimResult(claim=claim, passes=passes, runs=len(per_seed))
+        for claim, passes in tallies.items()
     ]
 
 
 # The scorecard's whole point is fanning out over an explicit seed
-# *list*; the per-seed entry point is run_robustness_cell(scale, seed).
+# *list*; each seed's cells are ordinary seeded fig4/fig5 cells.
 def run_robustness(  # repro-lint: disable=seed-threading
     scale: Scale = SMALL, seeds: Sequence[int] = (0, 1, 2, 3, 4)
 ) -> List[ClaimResult]:
     """Evaluate every claim at every seed; aggregate pass counts."""
-    return robustness_from_cells(
-        [run_robustness_cell(scale, seed) for seed in seeds]
-    )
+    routing, clients, servers = FIG5_CELL
+    per_seed = []
+    for seed in seeds:
+        p99 = {
+            (pattern, scheme): run_fig4_cell(
+                scale, pattern, scheme, seed=seed
+            ).p99_fct_ms()
+            for pattern, schemes in FIG4_CELLS.items()
+            for scheme in schemes
+        }
+        cs = run_fig5_cell(scale, routing, clients, servers, seed=seed)
+        per_seed.append(seed_claims(p99, cs))
+    return robustness_from_cells(per_seed)
 
 
 def render_robustness(results: List[ClaimResult]) -> str:

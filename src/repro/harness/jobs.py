@@ -242,7 +242,7 @@ def _run_fig4_job(spec: JobSpec) -> Dict[str, Any]:
 def _run_fig5_job(spec: JobSpec) -> Dict[str, Any]:
     from repro.experiments.fig5_heatmap import run_fig5_cell
 
-    params = spec.params_dict()
+    params = _read_params(spec, "clients", "servers")
     return run_fig5_cell(
         _scale(spec),
         routing=spec.scheme,
@@ -257,17 +257,13 @@ def _run_fig6_job(spec: JobSpec) -> Dict[str, Any]:
 
     from repro.experiments.fig6_scale import Fig6Config, run_fig6_point
 
-    params = spec.params_dict()
+    fields = [f.name for f in dataclasses.fields(Fig6Config)]
+    fields.remove("supernode_counts")
+    params = _read_params(spec, "supernodes", *fields)
     supernodes = int(params.pop("supernodes"))
     config = Fig6Config(supernode_counts=(supernodes,), **params)
     point = run_fig6_point(config, supernodes, seed=spec.seed)
     return dataclasses.asdict(point)
-
-
-def _run_robustness_job(spec: JobSpec) -> Dict[str, bool]:
-    from repro.experiments.robustness import run_robustness_cell
-
-    return run_robustness_cell(_scale(spec), spec.seed)
 
 
 def _ablation_network(
@@ -290,8 +286,9 @@ def _run_ablation_k_job(spec: JobSpec) -> List[Dict[str, Any]]:
 
     from repro.experiments.ablations import run_k_sweep
 
+    params = _read_params(spec, "k")
     network, cluster = _ablation_network(spec)
-    k = int(spec.params_dict()["k"])
+    k = int(params["k"])
     points = run_k_sweep(network, cluster, ks=(k,), seed=spec.seed)
     return [dataclasses.asdict(p) for p in points]
 
@@ -301,7 +298,7 @@ def _run_ablation_shape_job(spec: JobSpec) -> List[Dict[str, Any]]:
 
     from repro.experiments.ablations import run_dring_shape_sweep
 
-    params = spec.params_dict()
+    params = _read_params(spec, "m", "n")
     shape = (int(params["m"]), int(params["n"]))
     points = run_dring_shape_sweep(shapes=(shape,), seed=spec.seed)
     return [dataclasses.asdict(p) for p in points]
@@ -310,7 +307,9 @@ def _run_ablation_shape_job(spec: JobSpec) -> List[Dict[str, Any]]:
 def _run_faults_job(spec: JobSpec) -> Dict[str, Any]:
     from repro.experiments.failure_sweep import run_failure_cell
 
-    params = spec.params_dict()
+    params = _read_params(
+        spec, "kind", "fraction", "trial", "capacity_factor"
+    )
     return run_failure_cell(
         _scale(spec),
         topology=spec.pattern,
@@ -367,13 +366,6 @@ register_experiment(
 )
 register_experiment(
     "fig6", _run_fig6_job, _SIM_DEPS + ("repro.experiments.fig6_scale",)
-)
-register_experiment(
-    "robustness",
-    _run_robustness_job,
-    _SIM_DEPS + ("repro.experiments.robustness",
-                 "repro.experiments.fig4_fct",
-                 "repro.experiments.runner"),
 )
 register_experiment(
     "ablation-k", _run_ablation_k_job,
@@ -489,10 +481,25 @@ def fig6_jobs(
 def robustness_jobs(
     scale: str, seeds: Sequence[int] = (0, 1, 2, 3, 4)
 ) -> List[JobSpec]:
-    """The seed-robustness scorecard as one job per seed."""
-    return [
-        JobSpec.make("robustness", scale=scale, seed=seed) for seed in seeds
-    ]
+    """The cells the seed-robustness scorecard reads, for every seed.
+
+    They are ordinary fig4 and fig5 cells: a fig4 sweep at the same seed
+    has already cached 11 of each seed's 12.
+    """
+    from repro.experiments.robustness import FIG4_CELLS, FIG5_CELL
+
+    routing, clients, servers = FIG5_CELL
+    jobs: List[JobSpec] = []
+    for seed in seeds:
+        for pattern, schemes in FIG4_CELLS.items():
+            jobs += fig4_jobs(scale, seed, patterns=[pattern], schemes=schemes)
+        jobs.append(
+            JobSpec.make(
+                "fig5", scale=scale, scheme=routing, seed=seed,
+                clients=clients, servers=servers,
+            )
+        )
+    return jobs
 
 
 def ablation_jobs(
@@ -643,7 +650,9 @@ def sweep_jobs(
 
 
 # ----------------------------------------------------------------------
-# Assembly: per-cell results -> figure-level result objects
+# Assembly: per-cell results -> figure-level result objects.  Each
+# assembler takes the specs of its own sweep only: robustness's cells
+# are fig4 and fig5 cells at other seeds and coordinates.
 # ----------------------------------------------------------------------
 
 
@@ -667,15 +676,10 @@ def assemble_fig4(specs: Sequence[JobSpec], results: Dict[str, Any]) -> Any:
     cells = {
         (spec.pattern, spec.scheme): FctResults.from_json_dict(payload)
         for spec, payload in _present(specs, results)
-        if spec.experiment == "fig4"
     }
-    patterns = list(
-        dict.fromkeys(s.pattern for s in specs if s.experiment == "fig4")
-    )
-    schemes = list(
-        dict.fromkeys(s.scheme for s in specs if s.experiment == "fig4")
-    )
-    return fig4_result_from_cells(cells, patterns=patterns, schemes=schemes)
+    patterns = list(dict.fromkeys(s.pattern for s in specs))
+    schemes = list(dict.fromkeys(s.scheme for s in specs))
+    return fig4_result_from_cells(cells, patterns, schemes)
 
 
 def assemble_fig5(
@@ -685,9 +689,8 @@ def assemble_fig5(
     from repro.experiments.fig5_heatmap import heatmap_from_cells
 
     panels: Dict[str, Any] = {}
-    fig5_specs = [s for s in specs if s.experiment == "fig5"]
     for routing, label in FIG5_PANELS.items():
-        panel_specs = [s for s in fig5_specs if s.scheme == routing]
+        panel_specs = [s for s in specs if s.scheme == routing]
         if not panel_specs:
             continue
         values = sorted(
@@ -711,11 +714,7 @@ def assemble_fig6(
     """Fold fig6 cell payloads into the ordered ``ScalePoint`` list."""
     from repro.experiments.fig6_scale import ScalePoint
 
-    points = [
-        ScalePoint(**payload)
-        for spec, payload in _present(specs, results)
-        if spec.experiment == "fig6"
-    ]
+    points = [ScalePoint(**payload) for _s, payload in _present(specs, results)]
     return sorted(points, key=lambda p: p.supernodes)
 
 
@@ -723,33 +722,39 @@ def assemble_faults(
     specs: Sequence[JobSpec], results: Dict[str, Any]
 ) -> List[Dict[str, Any]]:
     """Collect the faults sweep's per-cell records, in spec order."""
-    return [
-        payload
-        for spec, payload in _present(specs, results)
-        if spec.experiment == "faults"
-    ]
+    return [payload for _spec, payload in _present(specs, results)]
 
 
 def assemble_ml(
     specs: Sequence[JobSpec], results: Dict[str, Any]
 ) -> List[Dict[str, Any]]:
     """Collect the ML sweep's per-cell records, in spec order."""
-    return [
-        payload
-        for spec, payload in _present(specs, results)
-        if spec.experiment == "ml"
-    ]
+    return [payload for _spec, payload in _present(specs, results)]
 
 
 def assemble_robustness(
     specs: Sequence[JobSpec], results: Dict[str, Any]
 ) -> Any:
-    """Fold per-seed claim outcomes into the scorecard."""
-    from repro.experiments.robustness import robustness_from_cells
+    """Evaluate the scorecard's claims per seed from its fig4/fig5 cells.
 
-    per_seed = [
-        payload
-        for spec, payload in _present(specs, results)
-        if spec.experiment == "robustness"
-    ]
-    return robustness_from_cells(per_seed)
+    A seed with a failed cell is left out, so it shrinks the scorecard's
+    denominator.
+    """
+    from repro.experiments.robustness import robustness_from_cells, seed_claims
+    from repro.sim.results import FctResults
+
+    p99: Dict[int, Dict[Tuple[str, str], float]] = {}
+    cs: Dict[int, Dict[str, float]] = {}
+    for spec, payload in _present(specs, results):
+        if spec.experiment == "fig4":
+            p99.setdefault(spec.seed, {})[spec.pattern, spec.scheme] = (
+                FctResults.from_json_dict(payload).p99_fct_ms()
+            )
+        else:
+            cs[spec.seed] = payload
+    failed = {spec.seed for spec in specs if spec.key() not in results}
+    return robustness_from_cells([
+        seed_claims(p99[seed], cs[seed])
+        for seed in dict.fromkeys(spec.seed for spec in specs)
+        if seed not in failed
+    ])

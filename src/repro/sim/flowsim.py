@@ -37,6 +37,7 @@ the per-event rebuild.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -154,7 +155,6 @@ class FlowSimulator:
         #: float sums in the legacy order.
         self._alive_ids = np.zeros(0, dtype=np.intp)
         self._alive_n = 0
-        self._num_active = 0
         #: Bytes carried per link id, filled during :meth:`run`.
         self._link_bytes = np.zeros(len(self._caps))
         self._elapsed = 0.0
@@ -206,7 +206,6 @@ class FlowSimulator:
         self._retired_alone = True
         self._spent[:] = 0.0
         self._alive_n = 0
-        self._num_active = 0
         self._link_bytes[:] = 0.0
         self._elapsed = 0.0
         self.trace = sim_trace.SimTrace()
@@ -253,7 +252,6 @@ class FlowSimulator:
         self._alive_ids[self._alive_n] = slot
         self._alive_n += 1
         self._incidence.append(slot, link_ids)
-        self._num_active += 1
         return slot
 
     def _allocate(
@@ -309,8 +307,15 @@ class FlowSimulator:
         inc = self._incidence
         run_trace = sim_trace.SimTrace()
         run_started = perf()
+        # Per-event tallies stay in locals and reach ``run_trace`` once,
+        # after the loop, instead of a dict update per counter per event:
+        # events, allocation seconds, and every cohort's size.
+        events = 0
+        allocate_s = 0.0
+        admit_sizes: List[int] = []
+        retire_sizes: List[int] = []
 
-        while self._num_active or next_arrival < len(arrivals):
+        while self._alive_n or next_arrival < len(arrivals):
             # Admit every flow starting exactly now (zero-width batch);
             # the cohort lands on ``_link_refs`` as one scatter-add.
             cohort: List[int] = []
@@ -319,7 +324,6 @@ class FlowSimulator:
                 and arrivals[next_arrival].start_time <= now + 1e-15
             ):
                 cohort.append(self._admit(arrivals[next_arrival]))
-                run_trace.count("flows_admitted")
                 next_arrival += 1
             delta = None
             if cohort:
@@ -329,10 +333,9 @@ class FlowSimulator:
                     else np.concatenate([self._meta[s].links for s in cohort])
                 )
                 np.add.at(self._link_refs, delta, 1)
-                run_trace.count("admit_cohorts")
-                run_trace.count(sim_trace.cohort_bucket("admit", len(cohort)))
+                admit_sizes.append(len(cohort))
 
-            if not self._num_active:
+            if not self._alive_n:
                 now = arrivals[next_arrival].start_time
                 continue
 
@@ -341,8 +344,8 @@ class FlowSimulator:
 
             allocate_started = perf()
             levels = self._allocate(cohort, delta, run_trace)
-            run_trace.add_time("allocate", perf() - allocate_started)
-            run_trace.count("events")
+            allocate_s += perf() - allocate_started
+            events += 1
             rates_bps = levels[alive]
             rates_bps *= 1e9  # fresh array from the fancy index above
 
@@ -407,14 +410,23 @@ class FlowSimulator:
                     kept = alive[~done_mask]
                     self._alive_ids[: len(kept)] = kept
                     self._alive_n = len(kept)
-                    self._num_active -= int(done.size)
-                    run_trace.count("flows_completed", int(done.size))
-                    run_trace.count("retire_cohorts")
-                    run_trace.count(sim_trace.cohort_bucket("retire", int(done.size)))
+                    retire_sizes.append(int(done.size))
                     inc.compact(self._slot_alive[:nslots])
                     self._free_slots.extend(done.tolist())
 
         self._elapsed = now
+        if events:
+            run_trace.count("events", events)
+            run_trace.add_time("allocate", allocate_s)
+        for kind, flow_counter, sizes in (
+            ("admit", "flows_admitted", admit_sizes),
+            ("retire", "flows_completed", retire_sizes),
+        ):
+            if sizes:
+                run_trace.count(flow_counter, sum(sizes))
+                run_trace.count(f"{kind}_cohorts", len(sizes))
+                for size, n in Counter(sizes).items():
+                    run_trace.count(sim_trace.cohort_bucket(kind, size), n)
         run_trace.add_time("run", sim_trace.perf_now() - run_started)
         if now > 0.0:
             run_trace.snapshot_utilization("flowsim", self.link_utilization())

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.experiments import SMALL, Scale, fig4_patterns, run_fig4
-from repro.experiments.fig4_fct import PatternSpec
-from repro.traffic import rack_to_rack, uniform
 
 TINY = Scale(
     name="tiny",
@@ -21,11 +19,7 @@ TINY = Scale(
 
 @pytest.fixture(scope="module")
 def tiny_result():
-    patterns = [
-        PatternSpec("A2A", uniform(TINY.cluster)),
-        PatternSpec("R2R", rack_to_rack(TINY.cluster)),
-    ]
-    return run_fig4(TINY, seed=0, patterns=patterns)
+    return run_fig4(TINY, seed=0, patterns=["A2A", "R2R"])
 
 
 class TestPatterns:

@@ -139,9 +139,15 @@ class TestJobLists:
         supernodes = {s.params_dict()["supernodes"] for s in specs}
         assert supernodes == {5, 8, 11, 14, 17, 20}
 
-    def test_robustness_one_job_per_seed(self):
-        specs = robustness_jobs("small", seeds=(0, 1, 2))
-        assert [s.seed for s in specs] == [0, 1, 2]
+    def test_robustness_shares_fig4_cells(self):
+        """The scorecard's seed-0 cells are seed-0 fig4 grid cells plus
+        one fig5 cell, so they share cache entries with ``repro fig4``."""
+        specs = robustness_jobs("small", seeds=(0,))
+        fig4_keys = {s.key() for s in fig4_jobs("small", seed=0)}
+        shared = [s for s in specs if s.key() in fig4_keys]
+        rest = [s for s in specs if s.key() not in fig4_keys]
+        assert len(shared) == 11
+        assert [s.experiment for s in rest] == ["fig5"]
 
     def test_ablation_jobs(self):
         specs = ablation_jobs("small", seed=0)
@@ -225,29 +231,38 @@ class TestJobLists:
             sweep_jobs(["fig7"], "small")
 
     def test_all_builtin_experiments_registered(self):
-        for name in ("fig4", "fig5", "fig6", "robustness", "ablation-k",
-                     "ablation-shape", "faults", "ml", "selftest"):
+        for name in ("fig4", "fig5", "fig6", "ablation-k", "ablation-shape",
+                     "faults", "ml", "selftest"):
             assert name in EXPERIMENT_REGISTRY
+
+
+#: One cell per experiment, each with one param its runner does not read.
+UNREAD_PARAMS = [
+    (JobSpec.make("fig4", scale="small", scheme="DRing (su2)",
+                  pattern="A2A", utilisation=0.5), "utilisation"),
+    (JobSpec.make("fig5", scale="small", scheme="su2", clients=22,
+                  servers=43, clientz=5), "clientz"),
+    (JobSpec.make("fig6", supernodes=5, supernode=8), "supernode"),
+    (JobSpec.make("faults", scale="small", scheme="ecmp", pattern="dring",
+                  kind="link", fraction=0.02, trial=0, capacity_factor=0.5,
+                  trails=2), "trails"),
+    (JobSpec.make("ablation-k", scale="small", k=2, kk=3), "kk"),
+    (JobSpec.make("ablation-shape", scale="small", m=12, n=2, nn=3), "nn"),
+    (JobSpec.make("ml", scale="small", scheme="ecmp", pattern="dring",
+                  polcy="random"), "polcy"),
+]
 
 
 class TestUnreadParams:
     """A param its runner does not read fails the job instead of running
     the cell at the default under a key that names the param."""
 
-    def test_fig4_rejects_unread_param(self):
-        spec = JobSpec.make(
-            "fig4", scale="small", scheme="DRing (su2)", pattern="A2A",
-            utilisation=0.5,
-        )
-        with pytest.raises(ValueError, match="utilisation"):
-            execute_job(spec)
-
-    def test_ml_rejects_unread_param(self):
-        spec = JobSpec.make(
-            "ml", scale="small", scheme="ecmp", pattern="dring",
-            polcy="random",
-        )
-        with pytest.raises(ValueError, match="polcy"):
+    @pytest.mark.parametrize(
+        "spec, typo", UNREAD_PARAMS,
+        ids=[spec.experiment for spec, _typo in UNREAD_PARAMS],
+    )
+    def test_rejects_unread_param(self, spec, typo):
+        with pytest.raises(ValueError, match=typo):
             execute_job(spec)
 
 

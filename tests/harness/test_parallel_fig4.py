@@ -1,23 +1,19 @@
-"""End-to-end: parallel cached fig4 cells == the serial grid, bit for bit.
+"""End-to-end: harness-run fig4 cells == ``run_fig4``, bit for bit.
 
 Runs a reduced Figure 4 grid (2 patterns x 3 core schemes) at a tiny
-registered scale three ways — the legacy serial ``run_fig4`` path, the
-harness with ``jobs=1``, and the harness with ``jobs=2`` — and asserts
-the rendered median/p99 tables are byte-identical.  A warm re-run must
-come entirely from cache and still render the same tables.
+registered scale three ways — ``run_fig4``'s in-process loop over
+``run_fig4_cell``, the harness with ``jobs=1``, and the harness with
+``jobs=2`` — and asserts the rendered median/p99 tables are
+byte-identical.  A warm re-run must come entirely from cache and still
+render the same tables.
 """
 
 import multiprocessing
 
 import pytest
 
-from repro.experiments.fig4_fct import fig4_patterns, run_fig4
-from repro.experiments.runner import (
-    Scale,
-    build_suite,
-    register_scale,
-    scheme_labels,
-)
+from repro.experiments.fig4_fct import run_fig4
+from repro.experiments.runner import Scale, register_scale, scheme_labels
 from repro.harness.cache import ResultCache
 from repro.harness.executor import HIT, RAN, run_jobs
 from repro.harness.jobs import assemble_fig4, fig4_jobs
@@ -55,11 +51,7 @@ def harness_tables(jobs, cache=None):
 
 @pytest.fixture(scope="module")
 def serial_tables():
-    patterns = [
-        p for p in fig4_patterns(TINY, seed=0) if p.label in PATTERNS
-    ]
-    suite = build_suite(TINY, seed=0, include_ecmp_flats=False)
-    figure = run_fig4(TINY, seed=0, patterns=patterns, suite=suite)
+    figure = run_fig4(TINY, seed=0, patterns=PATTERNS, schemes=SCHEMES)
     return figure.median_table(), figure.p99_table()
 
 

@@ -90,6 +90,45 @@ class TestExperimentCommands:
         assert "slimfly" in capsys.readouterr().out
 
 
+class TestFig4Sweeps:
+    @pytest.fixture(scope="class")
+    def tiny_scale(self):
+        """Small grids, but room for the scorecard's 24-client,
+        96-server Figure 5 cell on both fabrics."""
+        from repro.experiments.runner import Scale, register_scale
+
+        return register_scale(
+            Scale(
+                name="tiny-cli-scorecard",
+                leaf_x=8,
+                leaf_y=8,
+                dring_m=6,
+                dring_n=2,
+                dring_servers=144,
+                max_flows=100,
+                window_seconds=0.02,
+                size_cap_bytes=10e6,
+            )
+        )
+
+    def test_sweep_matches_fig4_and_scorecard(
+        self, tiny_scale, tmp_path, capsys
+    ):
+        """Each sweep renders only its own cells: robustness's fig4 cells
+        at seeds 1-4 and its fig5 cell stay out of the fig4 tables."""
+        from repro.experiments import render_robustness, run_robustness
+
+        cache = ["--scale", tiny_scale.name, "--cache-dir", str(tmp_path)]
+        assert main(["fig4", *cache]) == 0
+        fig4 = capsys.readouterr().out
+        assert main(
+            ["sweep", "--experiment", "fig4", "robustness", *cache]
+        ) == 0
+        sweep = capsys.readouterr().out
+        scorecard = render_robustness(run_robustness(tiny_scale))
+        assert sweep == fig4 + "\n" + scorecard + "\n\n"
+
+
 class TestFaultsCommand:
     @pytest.fixture(scope="class")
     def tiny_scale(self):
