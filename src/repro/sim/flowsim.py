@@ -18,20 +18,21 @@ link ids come from the network's :class:`~repro.core.linktable.LinkTable`
 are hashed through the scheme's :class:`CompiledRouting`, and the
 flow→link incidence persists across events in a
 :class:`~repro.sim.maxmin.Incidence` updated on admit/finish instead of
-being rebuilt from Python lists at every event.  Max-min rates
-decompose over the connected components of the flow→link graph, so an
-event whose admissions and previous retirements touch only links no
-other live flow uses keeps every other flow's rate; only the remaining
-events solve the allocation afresh with
-:func:`~repro.sim.maxmin.fill_levels` over that incidence.  Retired flow
-slots are reused, so per-slot arrays stay as long as the most flows
-alive at once.  Entry order is kept in admission order throughout, so
-allocator demand sums and per-link byte accounting accumulate floats in
-exactly the legacy order.  The skipped solves are exact in real
-arithmetic; a cold solve threads all components through one running
-float sum, so it can differ from them in the last bit.  On every
-workload the parity tests check, results are bit-for-bit identical to
-the per-event rebuild.
+being rebuilt from Python lists at every event.  The simulator keeps
+each live flow's max-min level and each link's saturation level across
+events, and solves the allocation afresh with
+:func:`~repro.sim.maxmin.fill_levels` only when the event's retirements
+or admission may move another flow's rate: a max-min allocation is
+unique and characterised by its bottleneck links, so an event that
+leaves every other flow's bottleneck in place keeps every other flow's
+level (:meth:`FlowSimulator._allocate`).  Retired flow slots are
+reused, so per-slot arrays stay as long as the most flows alive at
+once.  Entry order is kept in admission order throughout, so allocator
+demand sums and per-link byte accounting accumulate floats in exactly
+the legacy order.  The skipped solves are exact in real arithmetic; a
+cold solve reaches the same levels through other float sums, so finish
+times can differ from the per-event rebuild's in the last bits, and the
+parity tests compare them to 1e-9 of each flow's FCT.
 """
 
 from __future__ import annotations
@@ -138,13 +139,20 @@ class FlowSimulator:
         self._slot_alive = np.zeros(0, dtype=bool)
         self._remaining = np.zeros(0)
         #: Per-slot max-min level (Gbps), kept across events so an event
-        #: that changes no live flow's component skips the solve (see
+        #: that moves no live flow's rate skips the solve (see
         #: :meth:`_allocate`).  Dead slots hold stale values, never read.
         self._levels = np.zeros(0)
-        #: False while a link of the flows retired at the previous event
-        #: still carries a live flow: that retirement changed a live
-        #: flow's component, so the next event must solve.
-        self._retired_alone = True
+        #: Per link id, the level at which the link saturated, or +inf
+        #: while it has capacity to spare: every live flow on a link with
+        #: a finite entry runs at most that level.  Written by each solve
+        #: and each certified admission, reset for a retirement's links.
+        self._saturated_at = np.full(len(self._caps), np.inf)
+        #: Links of the flows retired at the previous event (None if
+        #: none), for the next :meth:`_allocate` to check.
+        self._retired: Optional[np.ndarray] = None
+        #: Per link id scratch, -1 between uses: marks the links of a
+        #: delta so one gather finds the incidence entries on them.
+        self._link_mark = np.full(len(self._caps), -1, dtype=np.intp)
         #: Per-slot bytes drained this event.  Dead slots hold stale
         #: values, which is fine: the incidence only references alive
         #: slots, so stale entries are never gathered.
@@ -203,7 +211,8 @@ class FlowSimulator:
         self._slot_alive[:] = False
         self._remaining[:] = 0.0
         self._levels[:] = 0.0
-        self._retired_alone = True
+        self._saturated_at[:] = np.inf
+        self._retired = None
         self._spent[:] = 0.0
         self._alive_n = 0
         self._link_bytes[:] = 0.0
@@ -263,34 +272,130 @@ class FlowSimulator:
         """Max-min levels (Gbps) per slot for this event's live flows.
 
         ``admitted`` holds the slots admitted at this event and ``delta``
-        their links (None when nothing was admitted).  Max-min rates
-        decompose over the connected components of the flow→link graph
-        (Bertsekas & Gallager, *Data Networks* §6.5).  When every link of
-        every admitted flow carries that flow alone and the flows retired
-        at the previous event left all their links idle, no other live
-        flow's component changed: each admitted flow runs at the smallest
-        capacity on its links and every other flow keeps its level.  Any
-        other event solves all live flows afresh with :func:`fill_levels`.
+        their links (None when nothing was admitted); ``_retired`` holds
+        the links of the flows retired at the previous event.  A max-min
+        allocation is unique, and it is the one feasible allocation in
+        which every flow crosses a saturated link on which no flow runs
+        faster, its bottleneck (Bertsekas & Gallager, *Data Networks*
+        §6.5).  So the solve is skipped, exactly, when the delta leaves
+        every other flow's bottleneck in place:
+
+        * retirement: every live flow that crossed a retired link still
+          has a bottleneck the retirement did not touch
+          (:meth:`_retirement_certified`);
+        * admission: the new flow's tightest link can become its
+          bottleneck without taking away any other flow's
+          (:meth:`_admission_certified`).
+
+        Every other flow keeps its level.  Any other event solves all
+        live flows afresh with :func:`fill_levels`, which also rewrites
+        the saturation levels both checks read.
         """
         nslots = len(self._meta)
         levels = self._levels[:nslots]
-        if self._retired_alone and (
-            delta is None or bool((self._link_refs[delta] == 1).all())
-        ):
-            for slot in admitted:
-                levels[slot] = self._caps[self._meta[slot].links].min()
+        retired, self._retired = self._retired, None
+        if retired is not None:
+            # Each retired flow ran at a positive rate, so its links now
+            # have capacity to spare.
+            self._saturated_at[retired] = np.inf
+        if (
+            retired is None or self._retirement_certified(retired, delta)
+        ) and self._admission_certified(admitted, delta):
             return levels
         inc = self._incidence
         solved, iterations = fill_levels(
             inc.ent, inc.lnk, inc.val, self._caps, self._slot_alive[:nslots],
             links=np.flatnonzero(self._link_refs > 0),
             scratch=self._fill_scratch,
+            saturated_at=self._saturated_at,
         )
         levels[:] = solved
-        self._retired_alone = True
         trace.count("alloc_solves")
         trace.count("allocator_iterations", iterations)
         return levels
+
+    def _retirement_certified(
+        self, retired: np.ndarray, delta: Optional[np.ndarray]
+    ) -> bool:
+        """True when every live flow that crossed a ``retired`` link still
+        has another saturated link, at its own level, that no retired flow
+        crossed; there it stays bottlenecked, so it keeps its level.
+
+        Call after resetting the retired links' saturation levels.  The
+        flows admitted at this event (``delta``, the incidence's last
+        entries) have no level yet and are left out.
+        """
+        # Lists, not numpy reductions, for these few-element arrays:
+        # ``any``/``min``/``max`` over ``tolist()`` cost a quarter as much,
+        # and most events end on this first check.
+        if not any(self._link_refs[retired].tolist()):
+            return True
+        inc = self._incidence
+        survivors = len(inc) - (0 if delta is None else len(delta))
+        ent = inc.ent[:survivors]
+        lnk = inc.lnk[:survivors]
+        mark = self._link_mark
+        mark[retired] = 0
+        crossed = ent[mark[lnk] >= 0]
+        mark[retired] = -1
+        # The retired links now read +inf, so a match is on a link no
+        # retired flow crossed.
+        bottlenecked = np.zeros(len(self._meta), dtype=bool)
+        bottlenecked[ent[self._saturated_at[lnk] == self._levels[ent]]] = True
+        return all(bottlenecked[crossed].tolist())
+
+    def _admission_certified(
+        self, admitted: List[int], delta: Optional[np.ndarray]
+    ) -> bool:
+        """Set the levels of the ``admitted`` slots when no other flow's
+        level moves; False when the event must solve instead.
+
+        A flow alone on its links runs at its smallest capacity.  A single
+        flow joining links other flows use runs at the residual capacity
+        of its tightest link when no flow there runs faster: that link
+        becomes its bottleneck, and as the residual is positive, none of
+        its links was saturated, so every other flow keeps its
+        bottleneck.  A link marked saturated fails the rule before the
+        incidence scan.
+        """
+        if delta is None:
+            return True
+        caps = self._caps
+        levels = self._levels
+        saturated_at = self._saturated_at
+        if max(self._link_refs[delta].tolist()) == 1:
+            for slot in admitted:
+                links = self._meta[slot].links
+                tightest = links[caps[links].argmin()]
+                levels[slot] = saturated_at[tightest] = caps[tightest]
+            return True
+        ids = delta.tolist()
+        if (
+            len(admitted) > 1
+            or min(saturated_at[delta].tolist()) < np.inf
+            # A repeated link would carry the new flow twice.
+            or len(set(ids)) < len(ids)
+        ):
+            return False
+        # The admitted flow's entries are the incidence's last ones.
+        inc = self._incidence
+        survivors = len(inc) - len(ids)
+        mark = self._link_mark
+        mark[delta] = np.arange(len(ids))
+        at = mark[inc.lnk[:survivors]]
+        mark[delta] = -1
+        on = at >= 0
+        at = at[on]
+        others = levels[inc.ent[:survivors][on]]
+        residual = (
+            caps[delta] - np.bincount(at, weights=others, minlength=len(ids))
+        ).tolist()
+        level = min(residual)
+        tightest = residual.index(level)
+        if max(others[at == tightest].tolist(), default=0.0) > level:
+            return False
+        levels[admitted[0]] = saturated_at[ids[tightest]] = level
+        return True
 
     # ------------------------------------------------------------------
 
@@ -406,7 +511,7 @@ class FlowSimulator:
                         )
                     )
                     np.subtract.at(self._link_refs, retired, 1)
-                    self._retired_alone = not self._link_refs[retired].any()
+                    self._retired = retired
                     kept = alive[~done_mask]
                     self._alive_ids[: len(kept)] = kept
                     self._alive_n = len(kept)

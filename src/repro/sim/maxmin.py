@@ -55,11 +55,11 @@ class FillScratch:
     """Reusable buffers for :func:`fill_levels`.
 
     One solve needs several O(entities) / O(links) temporaries.  An
-    event-driven caller re-solves at every event whose admissions or
-    completions share a link with another live flow; keeping one
-    instance alive across events turns those per-solve allocations into
-    buffer reuses.  Buffers grow geometrically and never shrink, so the
-    steady-state solve allocates nothing but its result.
+    event-driven caller re-solves at every event that may move a live
+    flow's rate; keeping one instance alive across events turns those
+    per-solve allocations into buffer reuses.  Buffers grow
+    geometrically and never shrink, so the steady-state solve allocates
+    nothing but its result.
     """
 
     def __init__(self) -> None:
@@ -71,6 +71,7 @@ class FillScratch:
         self._headroom = np.empty(0)
         self._divisor = np.empty(0)
         self._unused = np.empty(0, dtype=bool)
+        self._saturated_at = np.empty(0)
 
     def active(self, n: int) -> np.ndarray:
         """Length-``n`` bool buffer (contents unspecified)."""
@@ -115,8 +116,13 @@ class FillScratch:
         self._unused = _fit(self._unused, n)
         return self._unused[:n]
 
+    def saturated_at(self, n: int) -> np.ndarray:
+        """Length-``n`` float buffer (contents unspecified)."""
+        self._saturated_at = _fit(self._saturated_at, n)
+        return self._saturated_at[:n]
 
-# Re-solved at every event whose flows share a link with another flow.
+
+# Re-solved at every event that may move a live flow's rate.
 def fill_levels(
     ent: np.ndarray,
     lnk: np.ndarray,
@@ -125,6 +131,7 @@ def fill_levels(
     active: np.ndarray,
     links: Optional[np.ndarray] = None,
     scratch: Optional[FillScratch] = None,
+    saturated_at: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """Progressive filling on a pre-flattened incidence.
 
@@ -151,6 +158,15 @@ def fill_levels(
         instance so the steady-state solve allocates only its result;
         one-shot callers omit it and pay fresh buffers.  Results are
         identical either way.
+    saturated_at:
+        Optional per-link-id output.  For every link among active
+        entries the solve writes the level at which the link saturated
+        (the same float its frozen entities received), or ``+inf`` if it
+        ends with capacity to spare; other entries are left untouched.
+        An entity whose level equals the entry of one of its links is
+        bottlenecked there: the link is full and no entity on it runs
+        faster.  The flow simulator reads it to prove later solves
+        unnecessary.
 
     Returns
     -------
@@ -198,6 +214,10 @@ def fill_levels(
     unused: np.ndarray = scratch.unused(num_links)
     np.take(caps, links, out=remaining)
     np.multiply(remaining, _EPSILON, out=saturation)
+    saturated_level: np.ndarray = scratch.saturated_at(
+        0 if saturated_at is None else num_links
+    )
+    saturated_level.fill(np.inf)
     current = 0.0
     iterations = 0
 
@@ -234,6 +254,8 @@ def fill_levels(
             # Numerical corner: force the single most-loaded link.
             forced = int(np.argmin(headroom))
             frozen = w_ent[w_lnk == forced]
+        if saturated_at is not None:
+            saturated_level[saturated_links] = current
         level[frozen] = current
         active[frozen] = False
         keep = active[w_ent]
@@ -241,6 +263,8 @@ def fill_levels(
         w_lnk = w_lnk[keep]
         w_val = w_val[keep]
 
+    if saturated_at is not None:
+        saturated_at[links] = saturated_level
     return level, iterations
 
 

@@ -58,6 +58,14 @@ class TestPutGet:
         assert payload["elapsed_seconds"] == 0.25
         assert payload["result"] == {"echo": 7}
 
+    def test_entry_text_is_json_dumps_of_the_entry(self, cache):
+        key = SPEC.key()
+        result = {"records": [[0, 1, 2.5e5, 0.1, 0.30000000000000004]]}
+        cache.put(key, SPEC, result, 0.25)
+        text = cache.path_for(key).read_text()
+        assert text == json.dumps(json.loads(text))
+        assert json.loads(text)["result"] == result
+
 
 class TestManagement:
     def test_len_entries_and_clear(self, cache):
