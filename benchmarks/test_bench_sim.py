@@ -121,14 +121,7 @@ def test_bench_engine_3x_over_legacy(benchmark):
 
     # Identical physics first: same records, same order, same floats.
     got, want = engine_results["fct"], legacy_results["fct"]
-    assert got.num_flows == want.num_flows
-    for a, b in zip(got.records, want.records):
-        assert (a.src_server, a.dst_server, a.size_bytes) == (
-            b.src_server, b.dst_server, b.size_bytes
-        )
-        assert a.start_time == b.start_time
-        assert a.finish_time == b.finish_time
-        assert a.path == b.path
+    _assert_identical(got, want)
 
     speedup = legacy_seconds / engine_seconds
     save_artifact(

@@ -36,7 +36,7 @@ import pathlib
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.runner import SCALES, Scale
+from repro.experiments.runner import SCALES, TOPOLOGIES, build_topology
 
 
 def _scale_argument(parser: argparse.ArgumentParser) -> None:
@@ -129,51 +129,6 @@ def _run_harness(args: argparse.Namespace, specs, sweep: str):
     return results
 
 
-TOPOLOGY_CHOICES = (
-    "dring",
-    "rrg",
-    "leaf-spine",
-    "xpander",
-    "slimfly",
-    "dragonfly",
-    "fat-tree",
-)
-
-
-def _build_topology(kind: str, scale: Scale, seed: int = 0):
-    from repro.topology import (
-        dragonfly,
-        dring,
-        fat_tree,
-        flatten,
-        leaf_spine,
-        slimfly,
-        xpander,
-    )
-
-    if kind == "leaf-spine":
-        return leaf_spine(scale.leaf_x, scale.leaf_y)
-    if kind == "dring":
-        return dring(
-            scale.dring_m, scale.dring_n, total_servers=scale.dring_servers
-        )
-    if kind == "rrg":
-        return flatten(
-            leaf_spine(scale.leaf_x, scale.leaf_y), seed=seed, name="rrg"
-        )
-    # The Section 7 families come in fixed admissible sizes; pick small
-    # instances in the same band as the SMALL scale.
-    if kind == "xpander":
-        return xpander(7, 4, servers_per_rack=scale.leaf_x // 2, seed=seed)
-    if kind == "slimfly":
-        return slimfly(5, servers_per_rack=scale.leaf_x // 2)
-    if kind == "dragonfly":
-        return dragonfly(4, 2, servers_per_rack=scale.leaf_x // 2)
-    if kind == "fat-tree":
-        return fat_tree(8)
-    raise ValueError(f"unknown topology {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # Subcommand implementations
 # ----------------------------------------------------------------------
@@ -184,7 +139,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
     scale = SCALES[args.scale]
     networks = [
-        _build_topology(kind, scale, seed=args.seed)
+        build_topology(kind, scale, seed=args.seed)
         for kind in ("leaf-spine", "rrg", "dring")
     ]
     print(summary_table([summarize(net) for net in networks]))
@@ -643,7 +598,7 @@ def cmd_other_topologies(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.bgp import verify_fabric
 
-    network = _build_topology(args.topology, SCALES[args.scale], seed=args.seed)
+    network = build_topology(args.topology, SCALES[args.scale], seed=args.seed)
     stats = verify_fabric(network, args.k)
     print(
         f"{network.name}: Theorem 1 and Shortest-Union({args.k}) verified "
@@ -656,7 +611,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from repro.core.export import to_dot, to_json
 
-    network = _build_topology(args.topology, SCALES[args.scale], seed=args.seed)
+    network = build_topology(args.topology, SCALES[args.scale], seed=args.seed)
     text = to_dot(network) if args.format == "dot" else to_json(network)
     if args.out == "-":
         print(text)
@@ -761,7 +716,7 @@ def cmd_configs(args: argparse.Namespace) -> int:
     from repro.bgp import ConfigGenerator
     from repro.bgp.frr import FrrConfigGenerator
 
-    network = _build_topology(args.topology, SCALES[args.scale], seed=args.seed)
+    network = build_topology(args.topology, SCALES[args.scale], seed=args.seed)
     generator_cls = (
         FrrConfigGenerator if args.format == "frr" else ConfigGenerator
     )
@@ -1101,14 +1056,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify Theorem 1 and the path sets")
     _scale_argument(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--topology", choices=TOPOLOGY_CHOICES, default="dring")
+    p.add_argument("--topology", choices=TOPOLOGIES, default="dring")
     p.add_argument("--k", type=int, default=2)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="export a topology as JSON or dot")
     _scale_argument(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--topology", choices=TOPOLOGY_CHOICES, default="dring")
+    p.add_argument("--topology", choices=TOPOLOGIES, default="dring")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out", default="-", help="output file, or - for stdout")
     p.set_defaults(func=cmd_export)
@@ -1166,7 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("configs", help="emit router configurations")
     _scale_argument(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--topology", choices=TOPOLOGY_CHOICES, default="dring")
+    p.add_argument("--topology", choices=TOPOLOGIES, default="dring")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--format", choices=("cisco", "frr"), default="cisco")
     p.add_argument("--out", default="router-configs")

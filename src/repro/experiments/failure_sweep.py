@@ -30,7 +30,8 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.network import Network
 from repro.core.seeding import stable_seed
-from repro.experiments.runner import Scale
+from repro.experiments.fig4_fct import PatternSpec, _pattern_flows
+from repro.experiments.runner import Scale, build_routing, build_topology
 from repro.faults import (
     DEFAULT_GRAY_CAPACITY,
     FaultSet,
@@ -40,17 +41,10 @@ from repro.faults import (
     sample_fault_set,
 )
 from repro.igp.ospf import build_converged_igp
-from repro.routing import EcmpRouting, RoutingScheme, ShortestUnionRouting
+from repro.routing import RoutingScheme
 from repro.sim.flowsim import FlowSimulator
 from repro.sim.throughput import tm_throughput
-from repro.topology import dring, flatten, leaf_spine, xpander
-from repro.traffic import (
-    Placement,
-    generate_flows,
-    spine_utilization_load,
-    uniform,
-    window_for_budget,
-)
+from repro.traffic import Placement, uniform
 
 #: Topologies the sweep covers by default (paper suite + one expander).
 FAULT_TOPOLOGIES: Tuple[str, ...] = ("leaf-spine", "dring", "rrg", "xpander")
@@ -76,32 +70,13 @@ def derived_seed(*parts: Any) -> int:
 
 
 def build_fault_topology(kind: str, scale: Scale, seed: int = 0) -> Network:
-    """Build one sweep topology at the given scale (same recipes as cli)."""
-    if kind == "leaf-spine":
-        return leaf_spine(scale.leaf_x, scale.leaf_y)
-    if kind == "dring":
-        return dring(
-            scale.dring_m, scale.dring_n, total_servers=scale.dring_servers
+    """One sweep topology at the given scale (the shared recipe)."""
+    if kind not in FAULT_TOPOLOGIES:
+        raise ValueError(
+            f"unknown fault-sweep topology {kind!r}; "
+            f"know {list(FAULT_TOPOLOGIES)}"
         )
-    if kind == "rrg":
-        return flatten(
-            leaf_spine(scale.leaf_x, scale.leaf_y), seed=seed, name="rrg"
-        )
-    if kind == "xpander":
-        return xpander(7, 4, servers_per_rack=scale.leaf_x // 2, seed=seed)
-    raise ValueError(
-        f"unknown fault-sweep topology {kind!r}; know {list(FAULT_TOPOLOGIES)}"
-    )
-
-
-def _build_routing(scheme: str, network: Network) -> RoutingScheme:
-    if scheme == "ecmp":
-        return EcmpRouting(network)
-    if scheme == "su2":
-        return ShortestUnionRouting(network, 2)
-    raise ValueError(
-        f"unknown fault-sweep scheme {scheme!r}; know {list(FAULT_SCHEMES)}"
-    )
+    return build_topology(kind, scale, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -140,34 +115,6 @@ def _mean_path_count(
     return sum(len(routing.paths(a, b)) for a, b in pairs) / len(pairs)
 
 
-def _shared_flows(scale: Scale, topology: str, trial: int, seed: int):
-    """The workload every scheme/fraction of one trial receives.
-
-    Calibrated exactly like Figure 4: 30% of the baseline leaf-spine's
-    spine capacity, truncated-Pareto sizes, uniform A2A endpoints.  The
-    seed folds in topology and trial but *not* scheme or fraction, so
-    degraded and healthy runs of both schemes push identical flows.
-    """
-    cluster = scale.cluster
-    tm = uniform(cluster)
-    baseline = leaf_spine(scale.leaf_x, scale.leaf_y)
-    load = spine_utilization_load(baseline, tm, 0.30)
-    window, num_flows = window_for_budget(
-        load.offered_gbps,
-        scale.max_flows,
-        scale.window_seconds,
-        size_cap=scale.size_cap_bytes,
-    )
-    flows = generate_flows(
-        tm,
-        num_flows,
-        window,
-        seed=derived_seed("faults-flows", seed, topology, trial),
-        size_cap=scale.size_cap_bytes,
-    )
-    return cluster, flows
-
-
 def run_failure_cell(
     scale: Scale,
     topology: str,
@@ -184,6 +131,10 @@ def run_failure_cell(
     restricted to the largest surviving rack component and the record
     reports how much of the fabric that component retains.
     """
+    if scheme not in FAULT_SCHEMES:
+        raise ValueError(
+            f"unknown fault-sweep scheme {scheme!r}; know {list(FAULT_SCHEMES)}"
+        )
     network = build_fault_topology(topology, scale, seed=seed)
     spec = FaultSpec(kind, fraction, capacity_factor)
     fault_seed = derived_seed(
@@ -232,8 +183,8 @@ def run_failure_cell(
         # The fabric (as far as this traffic is concerned) is gone.
         return record
 
-    healthy_routing = _build_routing(scheme, healthy)
-    degraded_routing = _build_routing(scheme, degraded)
+    healthy_routing = build_routing(scheme, healthy)
+    degraded_routing = build_routing(scheme, degraded)
 
     # Steady-state throughput under uniform demands between surviving
     # racks — the same demand set on both networks, so the ratio
@@ -264,8 +215,17 @@ def run_failure_cell(
         degraded_paths / healthy_paths if healthy_paths > 0 else 0.0
     )
 
-    # Tail FCT under the Figure 4 load recipe, healthy vs degraded.
-    cluster, flows = _shared_flows(scale, topology, trial, seed)
+    # Tail FCT under Figure 4's A2A workload, healthy vs degraded.  The
+    # flow seed folds in topology and trial but *not* scheme or
+    # fraction, so degraded and healthy runs of both schemes push
+    # identical flows.
+    cluster = scale.cluster
+    flows = _pattern_flows(
+        scale,
+        PatternSpec("A2A", uniform(cluster)),
+        derived_seed("faults-flows", seed, topology, trial),
+        0.30,
+    )
     sim_seed = derived_seed("faults-sim", seed, topology, trial)
     healthy_placement = Placement(cluster, healthy)
     healthy_fct = FlowSimulator(

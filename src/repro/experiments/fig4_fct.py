@@ -16,6 +16,7 @@ from repro.experiments.runner import (
     SMALL,
     Scale,
     build_scheme,
+    build_topology,
     scheme_labels,
 )
 from repro.sim.flowsim import simulate_fct
@@ -31,7 +32,6 @@ from repro.traffic import (
     spine_utilization_load,
     uniform,
 )
-from repro.topology import leaf_spine
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def _pattern_flows(scale: Scale, pattern: PatternSpec, seed: int,
     of the topology under test, so every scheme sees the same endpoints
     in canonical space, same sizes, same start times.
     """
-    baseline = leaf_spine(scale.leaf_x, scale.leaf_y)
+    baseline = build_topology("leaf-spine", scale)
     load = spine_utilization_load(baseline, pattern.tm, utilization)
     window, num_flows = window_for_budget(
         load.offered_gbps,

@@ -16,11 +16,13 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.network import Network
-from repro.experiments.runner import SMALL, Scale
-from repro.routing import EcmpRouting, RoutingScheme, ShortestUnionRouting
+from repro.experiments.runner import SMALL, Scale, build_routing, build_topology
+from repro.routing import RoutingScheme
 from repro.sim.results import heatmap_text
 from repro.sim.throughput import cs_throughput
-from repro.topology import dring, leaf_spine
+
+#: DRing routing per panel; leaf-spine always runs ECMP.
+FIG5_ROUTINGS = ("ecmp", "su2")
 
 
 @dataclass
@@ -108,16 +110,7 @@ def fig5_sweep_values(scale: Scale, points: int = 4) -> List[int]:
     Exposed separately so the sweep harness can enumerate heatmap cells
     without building the grids.
     """
-    dr = dring(scale.dring_m, scale.dring_n, total_servers=scale.dring_servers)
-    return default_sweep_values(dr, points=points)
-
-
-def _dring_routing(network: Network, kind: str) -> RoutingScheme:
-    if kind == "ecmp":
-        return EcmpRouting(network)
-    if kind == "su2":
-        return ShortestUnionRouting(network, 2)
-    raise ValueError(f"unknown fig5 routing {kind!r}")
+    return default_sweep_values(build_topology("dring", scale), points=points)
 
 
 def run_fig5_cell(
@@ -132,13 +125,15 @@ def run_fig5_cell(
     The harness unit of work for Figure 5; ``routing`` selects the DRing
     panel ("ecmp" or "su2"), leaf-spine always runs ECMP.
     """
-    ls = leaf_spine(scale.leaf_x, scale.leaf_y)
-    dr = dring(scale.dring_m, scale.dring_n, total_servers=scale.dring_servers)
+    if routing not in FIG5_ROUTINGS:
+        raise ValueError(f"unknown fig5 routing {routing!r}")
+    ls = build_topology("leaf-spine", scale)
+    dr = build_topology("dring", scale)
     dr_gbps = cs_throughput(
-        dr, _dring_routing(dr, routing), num_clients, num_servers, seed=seed
+        dr, build_routing(routing, dr), num_clients, num_servers, seed=seed
     ).mean_flow_gbps
     ls_gbps = cs_throughput(
-        ls, EcmpRouting(ls), num_clients, num_servers, seed=seed
+        ls, build_routing("ecmp", ls), num_clients, num_servers, seed=seed
     ).mean_flow_gbps
     return {"dring_gbps": dr_gbps, "leafspine_gbps": ls_gbps}
 
@@ -187,17 +182,15 @@ def run_fig5(
     panels (a, b) and large-value panels (c, d) are two calls with
     different ``values``.
     """
-    ls = leaf_spine(scale.leaf_x, scale.leaf_y)
-    dr = dring(scale.dring_m, scale.dring_n, total_servers=scale.dring_servers)
+    ls = build_topology("leaf-spine", scale)
+    dr = build_topology("dring", scale)
     if values is None:
         values = default_sweep_values(dr)
-    ls_routing = EcmpRouting(ls)
+    ls_routing = build_routing("ecmp", ls)
     return {
-        "ecmp": run_heatmap(
-            dr, ls, EcmpRouting(dr), ls_routing, values, values, seed=seed
-        ),
-        "su2": run_heatmap(
-            dr, ls, ShortestUnionRouting(dr, 2), ls_routing, values, values,
+        routing: run_heatmap(
+            dr, ls, build_routing(routing, dr), ls_routing, values, values,
             seed=seed,
-        ),
+        )
+        for routing in FIG5_ROUTINGS
     }

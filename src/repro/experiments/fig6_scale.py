@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.routing import EcmpRouting, RoutingScheme, ShortestUnionRouting
+from repro.experiments.runner import build_routing
 from repro.sim.flowsim import simulate_fct
 from repro.topology import dring, jellyfish
 from repro.traffic import (
@@ -60,14 +60,6 @@ class Fig6Config:
         return 4 * self.tors_per_supernode
 
 
-def _routing_for(network, kind: str) -> RoutingScheme:
-    if kind == "ecmp":
-        return EcmpRouting(network)
-    if kind == "su2":
-        return ShortestUnionRouting(network, 2)
-    raise ValueError(f"unknown routing kind {kind!r}")
-
-
 def run_fig6_point(
     config: Fig6Config, supernodes: int, seed: int = 0
 ) -> ScalePoint:
@@ -77,6 +69,8 @@ def run_fig6_point(
     Figure 6.  The offered load grows with the network (fixed Gbps per
     server) so utilization stays comparable across sizes.
     """
+    if config.routing not in ("ecmp", "su2"):
+        raise ValueError(f"unknown routing kind {config.routing!r}")
     m = supernodes
     n = config.tors_per_supernode
     racks = m * n
@@ -105,11 +99,11 @@ def run_fig6_point(
         size_cap=config.size_cap_bytes,
     )
     dr_res = simulate_fct(
-        dr, _routing_for(dr, config.routing),
+        dr, build_routing(config.routing, dr),
         Placement(cluster, dr), flows, seed=seed,
     )
     rrg_res = simulate_fct(
-        rrg, _routing_for(rrg, config.routing),
+        rrg, build_routing(config.routing, rrg),
         Placement(cluster, rrg), flows, seed=seed,
     )
     return ScalePoint(

@@ -28,14 +28,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.network import Network
 from repro.core.seeding import stable_seed
-from repro.experiments.failure_sweep import build_fault_topology
-from repro.experiments.runner import Scale
-from repro.routing import EcmpRouting, RoutingScheme, ShortestUnionRouting
-from repro.routing.adaptive import CoarseAdaptiveRouting
+from repro.experiments.runner import Scale, build_routing, build_topology
+from repro.routing import RoutingScheme
 from repro.sim.phases import run_collectives
 from repro.traffic.collectives import TrainingJob, place_jobs
 
-#: Topologies the sweep covers (same recipes as the failure sweep).
+#: Topologies the sweep covers (the same four as the failure sweep).
 ML_TOPOLOGIES: Tuple[str, ...] = ("leaf-spine", "dring", "rrg", "xpander")
 
 #: Routing schemes compared on every topology.
@@ -46,24 +44,21 @@ ML_POLICIES: Tuple[str, ...] = ("compact", "random")
 
 
 def build_ml_topology(kind: str, scale: Scale, seed: int = 0) -> Network:
-    """One sweep topology (delegates to the failure sweep's recipes)."""
+    """One sweep topology at the given scale (the shared recipe)."""
     if kind not in ML_TOPOLOGIES:
         raise ValueError(
             f"unknown ml-sweep topology {kind!r}; know {list(ML_TOPOLOGIES)}"
         )
-    return build_fault_topology(kind, scale, seed=seed)
+    return build_topology(kind, scale, seed=seed)
 
 
 def build_ml_routing(scheme: str, network: Network) -> RoutingScheme:
-    if scheme == "ecmp":
-        return EcmpRouting(network)
-    if scheme == "su2":
-        return ShortestUnionRouting(network, 2)
-    if scheme == "adaptive":
-        return CoarseAdaptiveRouting(network)
-    raise ValueError(
-        f"unknown ml-sweep scheme {scheme!r}; know {list(ML_SCHEMES)}"
-    )
+    """One sweep routing scheme on ``network`` (the shared recipe)."""
+    if scheme not in ML_SCHEMES:
+        raise ValueError(
+            f"unknown ml-sweep scheme {scheme!r}; know {list(ML_SCHEMES)}"
+        )
+    return build_routing(scheme, network)
 
 
 def ml_capacity(scale: Scale) -> int:

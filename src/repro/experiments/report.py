@@ -11,7 +11,7 @@ from __future__ import annotations
 import pathlib
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.runner import SMALL, Scale
+from repro.experiments.runner import SMALL, Scale, build_topology
 from repro.harness.clock import perf
 
 
@@ -126,24 +126,18 @@ def _heterogeneous(scale: Scale, seed: int) -> str:
 
 def _cabling(scale: Scale, seed: int) -> str:
     from repro.core.cabling import compare_cabling, render_cabling
-    from repro.topology import dring, flatten, leaf_spine
 
-    ls = leaf_spine(scale.leaf_x, scale.leaf_y)
     networks = [
-        ls,
-        flatten(ls, seed=seed, name="rrg"),
-        dring(scale.dring_m, scale.dring_n, total_servers=scale.dring_servers),
+        build_topology(kind, scale, seed=seed)
+        for kind in ("leaf-spine", "rrg", "dring")
     ]
     return render_cabling(compare_cabling(networks))
 
 
 def _verify(scale: Scale, seed: int) -> str:
     from repro.bgp import verify_fabric
-    from repro.topology import dring
 
-    network = dring(
-        scale.dring_m, scale.dring_n, total_servers=scale.dring_servers
-    )
+    network = build_topology("dring", scale)
     stats = verify_fabric(network, 2)
     return (
         f"{network.name}: Theorem 1 + Shortest-Union(2) verified over "

@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: scales, topology suites, helpers.
+"""Shared experiment infrastructure: scales, recipes, topology suites.
 
 Every experiment runs at a configurable :class:`Scale`.  ``SMALL`` is the
 default for tests and benchmarks (seconds on a laptop); ``PAPER`` matches
@@ -11,16 +11,34 @@ a declarative registry (:data:`SCHEME_REGISTRY`), so the suite builder,
 ``scheme_labels`` and the sweep harness all share one source of truth,
 and a single (topology, routing) cell can be built independently with
 :func:`build_scheme` — the unit of work for ``repro.harness`` jobs.
+
+Every named instance comes from one recipe: :func:`build_topology` maps
+a topology name and a :class:`Scale` to a network, :func:`build_routing`
+a routing name to a scheme.  The CLI, the suite and the sweeps call
+them, and each sweep only checks which names its axes accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.network import Network
-from repro.routing import EcmpRouting, RoutingScheme, ShortestUnionRouting
-from repro.topology import dring, flatten, leaf_spine
+from repro.routing import (
+    CoarseAdaptiveRouting,
+    EcmpRouting,
+    RoutingScheme,
+    ShortestUnionRouting,
+)
+from repro.topology import (
+    dragonfly,
+    dring,
+    fat_tree,
+    flatten,
+    leaf_spine,
+    slimfly,
+    xpander,
+)
 from repro.traffic import CanonicalCluster, Placement
 
 
@@ -151,38 +169,58 @@ SCHEME_REGISTRY: Dict[str, SchemeSpec] = {
 }
 
 
-def _suite_topology(
-    kind: str, scale: Scale, seed: int, cache: Optional[Dict[str, Network]]
-) -> Network:
-    """Build (or reuse) one of the suite's three topologies."""
-    if cache is not None and kind in cache:
-        return cache[kind]
+#: Topology names :func:`build_topology` knows, in CLI choice order.
+TOPOLOGIES: Tuple[str, ...] = (
+    "dring",
+    "rrg",
+    "leaf-spine",
+    "xpander",
+    "slimfly",
+    "dragonfly",
+    "fat-tree",
+)
+
+
+def build_topology(kind: str, scale: Scale, seed: int = 0) -> Network:
+    """The named topology at ``scale``: the one recipe every caller uses.
+
+    The CLI, the Figure 4 legend, Figure 5 and the fault and ML sweeps
+    all build their instances here, so a comparison across them compares
+    the same networks.  ``seed`` only reaches the randomized families
+    (RRG, Xpander).
+    """
     if kind == "leaf-spine":
-        network = leaf_spine(scale.leaf_x, scale.leaf_y)
-    elif kind == "dring":
-        network = dring(
-            scale.dring_m,
-            scale.dring_n,
-            total_servers=scale.dring_servers,
-            name=f"dring(m={scale.dring_m},n={scale.dring_n})",
+        return leaf_spine(scale.leaf_x, scale.leaf_y)
+    if kind == "dring":
+        return dring(
+            scale.dring_m, scale.dring_n, total_servers=scale.dring_servers
         )
-    elif kind == "rrg":
-        network = flatten(
+    if kind == "rrg":
+        return flatten(
             leaf_spine(scale.leaf_x, scale.leaf_y), seed=seed, name="rrg"
         )
-    else:
-        raise ValueError(f"unknown suite topology {kind!r}")
-    if cache is not None:
-        cache[kind] = network
-    return network
+    # The Section 7 families come in fixed admissible sizes; pick small
+    # instances in the same band as the SMALL scale.
+    if kind == "xpander":
+        return xpander(7, 4, servers_per_rack=scale.leaf_x // 2, seed=seed)
+    if kind == "slimfly":
+        return slimfly(5, servers_per_rack=scale.leaf_x // 2)
+    if kind == "dragonfly":
+        return dragonfly(4, 2, servers_per_rack=scale.leaf_x // 2)
+    if kind == "fat-tree":
+        return fat_tree(8)
+    raise ValueError(f"unknown topology {kind!r}")
 
 
-def _suite_routing(kind: str, network: Network) -> RoutingScheme:
+def build_routing(kind: str, network: Network) -> RoutingScheme:
+    """The named routing scheme on ``network``: ECMP, SU(2) or adaptive."""
     if kind == "ecmp":
         return EcmpRouting(network)
     if kind == "su2":
         return ShortestUnionRouting(network, 2)
-    raise ValueError(f"unknown suite routing {kind!r}")
+    if kind == "adaptive":
+        return CoarseAdaptiveRouting(network)
+    raise ValueError(f"unknown routing {kind!r}")
 
 
 def build_scheme(
@@ -198,14 +236,19 @@ def build_scheme(
         raise KeyError(
             f"unknown scheme {label!r}; know {list(SCHEME_REGISTRY)}"
         ) from None
-    network = _suite_topology(spec.topology, scale, seed, _topology_cache)
+    cache: Dict[str, Network] = (
+        {} if _topology_cache is None else _topology_cache
+    )
+    if spec.topology not in cache:
+        cache[spec.topology] = build_topology(spec.topology, scale, seed)
+    network = cache[spec.topology]
     cluster = scale.cluster
 
     def placement(shuffle: bool, pseed: int) -> Placement:
         return Placement(cluster, network, shuffle=shuffle, seed=pseed)
 
     return TopologyUnderTest(
-        label, network, _suite_routing(spec.routing, network), placement
+        label, network, build_routing(spec.routing, network), placement
     )
 
 

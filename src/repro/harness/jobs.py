@@ -269,14 +269,12 @@ def _run_fig6_job(spec: JobSpec) -> Dict[str, Any]:
 def _ablation_network(
     spec: JobSpec,
 ) -> Tuple["Network", "CanonicalCluster"]:
-    from repro.topology import dring
+    from repro.experiments.runner import build_topology
     from repro.traffic import CanonicalCluster
 
     scale = _scale(spec)
     racks = scale.dring_m * scale.dring_n
-    network = dring(
-        scale.dring_m, scale.dring_n, total_servers=scale.dring_servers
-    )
+    network = build_topology("dring", scale)
     cluster = CanonicalCluster(racks, scale.dring_servers // racks)
     return network, cluster
 
@@ -356,44 +354,24 @@ def _run_selftest_job(spec: JobSpec) -> Dict[str, Any]:
     return {"echo": params.get("value", 0), "pid": os.getpid()}
 
 
-register_experiment(
-    "fig4", _run_fig4_job, _SIM_DEPS + ("repro.experiments.fig4_fct",
-                                        "repro.experiments.runner")
+#: What every built-in cell may execute: the simulator stack, every
+#: experiment module (they share recipes and scales across modules), the
+#: fault and IGP layers, and this module, which holds the runners and
+#: their param defaults.  The same set ``cache-key-purity`` checks.
+_CELL_DEPS = _SIM_DEPS + (
+    "repro.experiments",
+    "repro.faults",
+    "repro.igp",
+    "repro.harness.jobs",
 )
-register_experiment(
-    "fig5", _run_fig5_job, _SIM_DEPS + ("repro.experiments.fig5_heatmap",
-                                        "repro.experiments.runner")
-)
-register_experiment(
-    "fig6", _run_fig6_job, _SIM_DEPS + ("repro.experiments.fig6_scale",)
-)
-register_experiment(
-    "ablation-k", _run_ablation_k_job,
-    _SIM_DEPS + ("repro.experiments.ablations",)
-)
-register_experiment(
-    "ablation-shape", _run_ablation_shape_job,
-    _SIM_DEPS + ("repro.experiments.ablations",)
-)
-register_experiment(
-    "faults",
-    _run_faults_job,
-    _SIM_DEPS + (
-        "repro.faults",
-        "repro.igp",
-        "repro.experiments.failure_sweep",
-        "repro.experiments.runner",
-    ),
-)
-register_experiment(
-    "ml",
-    _run_ml_job,
-    _SIM_DEPS + (
-        "repro.experiments.ml_sweep",
-        "repro.experiments.failure_sweep",
-        "repro.experiments.runner",
-    ),
-)
+
+register_experiment("fig4", _run_fig4_job, _CELL_DEPS)
+register_experiment("fig5", _run_fig5_job, _CELL_DEPS)
+register_experiment("fig6", _run_fig6_job, _CELL_DEPS)
+register_experiment("ablation-k", _run_ablation_k_job, _CELL_DEPS)
+register_experiment("ablation-shape", _run_ablation_shape_job, _CELL_DEPS)
+register_experiment("faults", _run_faults_job, _CELL_DEPS)
+register_experiment("ml", _run_ml_job, _CELL_DEPS)
 register_experiment("selftest", _run_selftest_job, ("repro.harness.jobs",))
 
 

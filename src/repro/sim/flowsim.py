@@ -47,12 +47,7 @@ import numpy as np
 from repro.core.network import Network
 from repro.routing.base import RoutingScheme
 from repro.sim.engine import trace as sim_trace
-from repro.sim.maxmin import (
-    AllocationError,
-    FillScratch,
-    Incidence,
-    fill_levels,
-)
+from repro.sim.maxmin import AllocationError, Incidence, fill_levels
 from repro.sim.results import FctResults, FlowRecord
 from repro.traffic.flows import Flow
 from repro.traffic.matrix import Placement
@@ -126,7 +121,6 @@ class FlowSimulator:
         )
 
         self._incidence = Incidence()
-        self._fill_scratch = FillScratch()
         #: Active incidence entries per link id; ``> 0`` is exactly the
         #: distinct-link set of the live incidence, handed to
         #: :func:`fill_levels` to skip its per-event ``np.unique`` sort.
@@ -306,7 +300,6 @@ class FlowSimulator:
         solved, iterations = fill_levels(
             inc.ent, inc.lnk, inc.val, self._caps, self._slot_alive[:nslots],
             links=np.flatnonzero(self._link_refs > 0),
-            scratch=self._fill_scratch,
             saturated_at=self._saturated_at,
         )
         levels[:] = solved

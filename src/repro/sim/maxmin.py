@@ -44,84 +44,6 @@ class AllocationError(RuntimeError):
     """Raised when the allocation cannot make progress (bad inputs)."""
 
 
-def _fit(current: np.ndarray, n: int) -> np.ndarray:
-    """``current`` if it holds ``n`` elements, else a doubled buffer."""
-    if len(current) >= n:
-        return current
-    return np.empty(max(n, 2 * len(current), 16), dtype=current.dtype)
-
-
-class FillScratch:
-    """Reusable buffers for :func:`fill_levels`.
-
-    One solve needs several O(entities) / O(links) temporaries.  An
-    event-driven caller re-solves at every event that may move a live
-    flow's rate; keeping one instance alive across events turns those
-    per-solve allocations into buffer reuses.  Buffers grow
-    geometrically and never shrink, so the steady-state solve allocates
-    nothing but its result.
-    """
-
-    def __init__(self) -> None:
-        self._active = np.empty(0, dtype=bool)
-        self._remap = np.empty(0, dtype=np.intp)
-        self._iota = np.empty(0, dtype=np.intp)
-        self._remaining = np.empty(0)
-        self._saturation = np.empty(0)
-        self._headroom = np.empty(0)
-        self._divisor = np.empty(0)
-        self._unused = np.empty(0, dtype=bool)
-        self._saturated_at = np.empty(0)
-
-    def active(self, n: int) -> np.ndarray:
-        """Length-``n`` bool buffer (contents unspecified)."""
-        self._active = _fit(self._active, n)
-        return self._active[:n]
-
-    def remap(self, n: int) -> np.ndarray:
-        """Length-``n`` intp buffer (contents unspecified)."""
-        self._remap = _fit(self._remap, n)
-        return self._remap[:n]
-
-    def iota(self, n: int) -> np.ndarray:
-        """``[0, 1, ..., n-1]`` without a per-call ``np.arange``."""
-        if len(self._iota) < n:
-            self._iota = np.arange(
-                max(n, 2 * len(self._iota), 16), dtype=np.intp
-            )
-        return self._iota[:n]
-
-    def remaining(self, n: int) -> np.ndarray:
-        """Length-``n`` float buffer (contents unspecified)."""
-        self._remaining = _fit(self._remaining, n)
-        return self._remaining[:n]
-
-    def saturation(self, n: int) -> np.ndarray:
-        """Length-``n`` float buffer (contents unspecified)."""
-        self._saturation = _fit(self._saturation, n)
-        return self._saturation[:n]
-
-    def headroom(self, n: int) -> np.ndarray:
-        """Length-``n`` float buffer (contents unspecified)."""
-        self._headroom = _fit(self._headroom, n)
-        return self._headroom[:n]
-
-    def divisor(self, n: int) -> np.ndarray:
-        """Length-``n`` float buffer (contents unspecified)."""
-        self._divisor = _fit(self._divisor, n)
-        return self._divisor[:n]
-
-    def unused(self, n: int) -> np.ndarray:
-        """Length-``n`` bool buffer (contents unspecified)."""
-        self._unused = _fit(self._unused, n)
-        return self._unused[:n]
-
-    def saturated_at(self, n: int) -> np.ndarray:
-        """Length-``n`` float buffer (contents unspecified)."""
-        self._saturated_at = _fit(self._saturated_at, n)
-        return self._saturated_at[:n]
-
-
 # Re-solved at every event that may move a live flow's rate.
 def fill_levels(
     ent: np.ndarray,
@@ -130,7 +52,6 @@ def fill_levels(
     caps: np.ndarray,
     active: np.ndarray,
     links: Optional[np.ndarray] = None,
-    scratch: Optional[FillScratch] = None,
     saturated_at: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """Progressive filling on a pre-flattened incidence.
@@ -152,12 +73,6 @@ def fill_levels(
         *active* entries, when the caller already tracks them (the flow
         simulator keeps per-link reference counts).  Skips the
         ``np.unique`` sort on the hot path; semantics are unchanged.
-    scratch:
-        Optional :class:`FillScratch` holding reusable work buffers.
-        Callers that solve repeatedly (the event loop) pass a persistent
-        instance so the steady-state solve allocates only its result;
-        one-shot callers omit it and pay fresh buffers.  Results are
-        identical either way.
     saturated_at:
         Optional per-link-id output.  For every link among active
         entries the solve writes the level at which the link saturated
@@ -183,12 +98,8 @@ def fill_levels(
     preserve admission order, so ``bincount`` accumulates demand sums in
     the identical order the full-mask formulation used.
     """
-    if scratch is None:
-        scratch = FillScratch()
     level = np.zeros(len(active))
-    mask: np.ndarray = scratch.active(len(active))
-    np.copyto(mask, active)
-    active = mask
+    active = active.copy()
     sel = active[ent]
     if sel.all():
         w_ent, w_lnk, w_val = ent, lnk, val
@@ -203,21 +114,13 @@ def fill_levels(
     else:
         # Scatter-then-gather beats searchsorted: O(1) per entry with no
         # binary-search comparisons, and every w_lnk value is in links.
-        remap = scratch.remap(len(caps))
-        remap[links] = scratch.iota(len(links))
+        remap = np.empty(len(caps), dtype=np.intp)
+        remap[links] = np.arange(len(links))
         w_lnk = remap[w_lnk]
     num_links = len(links)
-    remaining: np.ndarray = scratch.remaining(num_links)
-    saturation: np.ndarray = scratch.saturation(num_links)
-    headroom: np.ndarray = scratch.headroom(num_links)
-    divisor: np.ndarray = scratch.divisor(num_links)
-    unused: np.ndarray = scratch.unused(num_links)
-    np.take(caps, links, out=remaining)
-    np.multiply(remaining, _EPSILON, out=saturation)
-    saturated_level: np.ndarray = scratch.saturated_at(
-        0 if saturated_at is None else num_links
-    )
-    saturated_level.fill(np.inf)
+    remaining = caps[links]
+    saturation = remaining * _EPSILON
+    saturated_level = np.full(num_links, np.inf)
     current = 0.0
     iterations = 0
 
@@ -233,11 +136,9 @@ def fill_levels(
         # ``where=``-masked inner loop (5-10x slower than plain ufunc
         # dispatch at these sizes) disappears from the hot path.  Unused
         # links still end up at +inf, exactly as the mask produced.
-        np.maximum(demand, _SUBNORMAL_TINY, out=divisor)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(remaining, divisor, out=headroom)
-        np.logical_not(used, out=unused)
-        np.copyto(headroom, np.inf, where=unused)
+            headroom = remaining / np.maximum(demand, _SUBNORMAL_TINY)
+        headroom[~used] = np.inf
         increment = float(headroom.min())
         if not math.isfinite(increment) or increment < 0:
             raise AllocationError("allocation cannot make progress")

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.experiments.fig4_fct import run_fig4_cell
-from repro.experiments.runner import SMALL, Scale, build_scheme
+from repro.experiments.runner import SMALL, Scale, build_scheme, register_scale
 from repro.harness import jobs as jobs_module
 from repro.harness.jobs import (
     EXPERIMENT_REGISTRY,
@@ -50,6 +50,40 @@ class TestJobSpec:
         )
         label = spec.label()
         assert "fig4" in label and "A2A" in label and "seed=2" in label
+
+
+#: Small enough to trace one cell of every experiment in about a second.
+TRACE = register_scale(
+    Scale(
+        name="tiny-trace",
+        leaf_x=6,
+        leaf_y=2,
+        dring_m=6,
+        dring_n=2,
+        dring_servers=48,
+        max_flows=60,
+        window_seconds=0.02,
+        size_cap_bytes=10e6,
+    )
+)
+
+#: One small cell per built-in experiment.
+TRACED_CELLS = [
+    JobSpec.make("fig4", scale=TRACE.name, scheme="DRing (su2)",
+                 pattern="A2A"),
+    JobSpec.make("fig5", scale=TRACE.name, scheme="su2", clients=4,
+                 servers=4),
+    JobSpec.make("fig6", supernodes=5, flows_per_server=1),
+    JobSpec.make("ablation-k", scale=TRACE.name, k=2),
+    JobSpec.make("ablation-shape", scale=TRACE.name, m=6, n=2),
+    JobSpec.make("faults", scale=TRACE.name, scheme="ecmp", pattern="dring",
+                 kind="link", fraction=0.05, trial=0, capacity_factor=0.5),
+    JobSpec.make("ml", scale=TRACE.name, scheme="ecmp", pattern="dring",
+                 policy="compact", placement_seed=0),
+]
+
+#: Modules a cell may run unfingerprinted: the clock feeds timers only.
+UNFINGERPRINTED = {"repro.harness.clock"}
 
 
 class TestCacheKeys:
@@ -111,6 +145,37 @@ class TestCacheKeys:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             JobSpec.make("no-such-experiment").key()
+
+    @pytest.mark.parametrize(
+        "spec", TRACED_CELLS, ids=[spec.experiment for spec in TRACED_CELLS]
+    )
+    def test_deps_cover_what_a_cell_executes(self, spec):
+        """Every repro module a built-in cell runs is fingerprinted by
+        its experiment's deps: editing one of them re-keys the cell
+        instead of serving its stale result."""
+        executed = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                executed.add(frame.f_globals.get("__name__", ""))
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            execute_job(spec)
+        finally:
+            sys.setprofile(previous)
+        deps = EXPERIMENT_REGISTRY[spec.experiment].deps
+        uncovered = {
+            name
+            for name in executed
+            if name.split(".")[0] == "repro"
+            and name not in UNFINGERPRINTED
+            and not any(
+                name == dep or name.startswith(dep + ".") for dep in deps
+            )
+        }
+        assert uncovered == set()
 
 
 class TestJobLists:

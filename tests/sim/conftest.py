@@ -29,9 +29,9 @@ def certified_solves(monkeypatch):
         assert_max_min_fair(inc.ent, inc.lnk, inc.val, self._caps, alive, levels)
         return levels
 
-    def certified(ent, lnk, val, caps, active, links=None, scratch=None):
+    def certified(ent, lnk, val, caps, active, links=None):
         levels, iterations = fill_levels(
-            ent, lnk, val, caps, active, links=links, scratch=scratch
+            ent, lnk, val, caps, active, links=links
         )
         assert_max_min_fair(ent, lnk, val, caps, active, levels)
         return levels, iterations

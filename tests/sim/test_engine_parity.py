@@ -263,9 +263,9 @@ def capture_solves(monkeypatch):
     solves = []
     certified = throughput.fill_levels
 
-    def capture(ent, lnk, val, caps, active, links=None, scratch=None):
+    def capture(ent, lnk, val, caps, active, links=None):
         levels, iterations = certified(
-            ent, lnk, val, caps, active, links=links, scratch=scratch
+            ent, lnk, val, caps, active, links=links
         )
         solves.append(
             (ent.copy(), lnk.copy(), val.copy(), caps, active.copy(),
